@@ -22,12 +22,28 @@ oracle.
 Recursive SCC blocks iterate whole rounds until their joint summaries
 stabilize; the recorded trace is the final round's, and
 ``summary_rounds`` tells the cost adapters how many rounds to charge.
+
+In the default (host-perf) mode facts stay int masks through the whole
+block run -- both dynamics, the MER/sync agreement check, exit facts and
+summaries -- and the :class:`MethodFacts` frozensets are built once,
+from the final round's masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cfg.intra import IntraCFG, build_intra_cfg
 from repro.core.blocks import BlockAssignment
@@ -37,7 +53,7 @@ from repro.core.grouping import (
     grouped_storage_order,
 )
 from repro.core.trace import BlockTrace, IterationRecord, NodeMeta, VisitRecord
-from repro.dataflow.bitset import mask_to_set
+from repro.dataflow.bitset import mask_to_frozenset
 from repro.dataflow.facts import CalleeFootprint, FactSpace
 from repro.dataflow.idfg import MethodFacts
 from repro.dataflow.summaries import MethodSummary, SummaryBuilder
@@ -64,6 +80,16 @@ class BlockResult:
     seed_sizes: Tuple[Tuple[int, int], ...] = ()
 
 
+class DynamicsDivergenceError(RuntimeError):
+    """The MER and synchronous dynamics of one block reached different
+    fixed points.
+
+    Both dynamics must land on the same least fixed point (see the
+    module docstring); a mismatch means a transfer function or the
+    worklist bookkeeping broke monotonicity.
+    """
+
+
 class _MethodState:
     """Per-method analysis machinery inside a block."""
 
@@ -84,10 +110,11 @@ class _MethodState:
         summaries,
         offset: int,
         footprints: Optional[Dict[str, CalleeFootprint]] = None,
+        cfg: Optional[IntraCFG] = None,
     ):
         self.signature = signature
         self.method = app.method_table[signature]
-        self.cfg = build_intra_cfg(self.method)
+        self.cfg = cfg if cfg is not None else build_intra_cfg(self.method)
         if footprints is None:
             footprints = {
                 sig: summary.footprint() for sig, summary in summaries.items()
@@ -103,6 +130,39 @@ class _MethodState:
         if self._masked is None:
             self._masked = MaskTransfer(self.transfer)
         return self._masked
+
+
+class _MaskDispatch:
+    """Flat per-block-node dispatch tables of the masked dynamics.
+
+    Built once per summary round and shared by the synchronous and the
+    merging run, so the visit loop indexes plain lists instead of
+    resolving a method state, its transfer view and the node metadata
+    on every visit.
+    """
+
+    __slots__ = ("out_fn", "successors", "group", "entries")
+
+    def __init__(
+        self, states: Sequence[_MethodState], meta: Sequence[NodeMeta]
+    ) -> None:
+        #: ``in_mask -> out_mask`` per node; None for identity nodes,
+        #: whose OUT is their live IN mask.
+        self.out_fn: List[Optional[Callable[[int], int]]] = [
+            None
+            if state.masked.is_identity(local)
+            else partial(state.masked.out_mask, local)
+            for state in states
+            for local in range(len(state.method.statements))
+        ]
+        self.successors = [m.successors for m in meta]
+        self.group = [m.group for m in meta]
+        #: (entry node, entry fact mask) per non-empty method.
+        self.entries = [
+            (state.offset, state.masked.entry_mask())
+            for state in states
+            if state.method.statements
+        ]
 
 
 class BlockRunner:
@@ -121,15 +181,15 @@ class BlockRunner:
         self.base_summaries = dict(summaries)
         self.record_mer = record_mer
         self.sort_mer_worklist = sort_mer_worklist
-        self._is_scc = self._detect_scc()
-
-    def _detect_scc(self) -> bool:
-        members = set(self.assignment.methods)
-        for signature in self.assignment.methods:
-            for callee in self.app.method_table[signature].callees():
-                if callee in members:
-                    return True
-        return False
+        self._callees = {
+            callee
+            for signature in assignment.methods
+            for callee in app.method_table[signature].callees()
+        }
+        self._is_scc = not self._callees.isdisjoint(assignment.methods)
+        #: Round-invariant machinery, reused across SCC summary rounds.
+        self._cfgs: Dict[str, IntraCFG] = {}
+        self._static_meta: Optional[List[Tuple[str, int, int, Tuple[int, ...]]]] = None
 
     # -- machinery ---------------------------------------------------------------
 
@@ -138,9 +198,14 @@ class BlockRunner:
     ) -> List[_MethodState]:
         # The callee footprints depend only on the summary table, which
         # is identical for every method of the block: resolve them once
-        # per round instead of once per method state.
+        # per round instead of once per method state, and only for the
+        # block's callees -- the table holds every lower layer's methods.
         footprints = (
-            {sig: summary.footprint() for sig, summary in summaries.items()}
+            {
+                sig: summaries[sig].footprint()
+                for sig in self._callees
+                if sig in summaries
+            }
             if host_perf_enabled()
             else None
         )
@@ -148,184 +213,227 @@ class BlockRunner:
         offset = 0
         for signature in self.assignment.methods:
             state = _MethodState(
-                self.app, signature, summaries, offset, footprints=footprints
+                self.app,
+                signature,
+                summaries,
+                offset,
+                footprints=footprints,
+                cfg=self._cfgs.get(signature),
             )
+            self._cfgs[signature] = state.cfg
             states.append(state)
             offset += len(state.method.statements)
         return states
 
-    def _node_meta(self, states: Sequence[_MethodState]) -> Tuple[NodeMeta, ...]:
+    def _node_meta(
+        self,
+        states: Sequence[_MethodState],
+        previous: Optional[Tuple[NodeMeta, ...]] = None,
+    ) -> Tuple[NodeMeta, ...]:
+        """Per-node metadata of this round.
+
+        Only the access groups and matrix row widths can change between
+        SCC summary rounds (a new callee summary can turn an identity
+        call into an effectful one, or grow the fact space); the
+        previous round's tuple is returned when neither did.
+        """
         groups: List[int] = []
-        raw: List[Tuple[_MethodState, int]] = []
+        row_words: List[int] = []
         for state in states:
+            words = max(1, (state.space.fact_universe + 63) // 64)
             for local in range(len(state.method.statements)):
                 groups.append(access_group(state.transfer, local))
-                raw.append((state, local))
-        grouped_positions = grouped_storage_order(groups)
-        meta: List[NodeMeta] = []
-        for node, (state, local) in enumerate(raw):
-            row_words = max(1, (state.space.fact_universe + 63) // 64)
-            meta.append(
-                NodeMeta(
-                    node=node,
-                    method=state.signature,
-                    local_index=local,
-                    branch_class=branch_class_id(
-                        state.method.statements[local]
-                    ),
-                    group=groups[node],
-                    grouped_position=grouped_positions[node],
-                    successors=tuple(
+                row_words.append(words)
+        if previous is not None and all(
+            m.group == group and m.row_words == words
+            for m, group, words in zip(previous, groups, row_words)
+        ):
+            return previous
+        if self._static_meta is None:
+            self._static_meta = [
+                (
+                    state.signature,
+                    local,
+                    branch_class_id(state.method.statements[local]),
+                    tuple(
                         state.offset + succ
                         for succ in state.cfg.successors[local]
                     ),
-                    row_words=row_words,
                 )
+                for state in states
+                for local in range(len(state.method.statements))
+            ]
+        grouped_positions = grouped_storage_order(groups)
+        return tuple(
+            NodeMeta(
+                node=node,
+                method=method,
+                local_index=local,
+                branch_class=branch,
+                group=groups[node],
+                grouped_position=grouped_positions[node],
+                successors=successors,
+                row_words=row_words[node],
             )
-        return tuple(meta)
+            for node, (method, local, branch, successors) in enumerate(
+                self._static_meta
+            )
+        )
+
+    def _new_trace(self, meta: Tuple[NodeMeta, ...]) -> BlockTrace:
+        return BlockTrace(
+            block_id=self.assignment.block_id,
+            layer=self.assignment.layer,
+            methods=self.assignment.methods,
+            node_meta=meta,
+        )
 
     # -- dynamics -------------------------------------------------------------------
 
     def _run_dynamics(
         self,
         states: Sequence[_MethodState],
+        dispatch: Optional[_MaskDispatch],
         merging: bool,
         trace: BlockTrace,
-    ) -> List[Set[int]]:
-        """Execute one fixed-point run; returns per-block-node fact sets.
+    ) -> List:
+        """Execute one fixed-point run; returns per-block-node facts.
 
-        Dispatches between the packed-bitset implementation (facts as
-        int masks, whole GEN/KILL batches per mask op) and the seed's
-        per-element set implementation.  Both record identical traces
-        and land on identical fixed points.
+        With a ``dispatch`` table the packed-bitset implementation runs
+        and the facts are int masks (whole GEN/KILL batches per mask
+        op); without one, the seed's per-element set implementation
+        runs and the facts are sets.  Both record identical traces and
+        land on identical fixed points.
         """
-        if host_perf_enabled():
-            return self._run_dynamics_masked(states, merging, trace)
+        if dispatch is not None:
+            return self._run_dynamics_masked(dispatch, merging, trace)
         return self._run_dynamics_sets(states, merging, trace)
 
     def _run_dynamics_masked(
         self,
-        states: Sequence[_MethodState],
+        dispatch: _MaskDispatch,
         merging: bool,
         trace: BlockTrace,
-    ) -> List[Set[int]]:
+    ) -> List[int]:
         """Packed-bitset dynamics: one int mask per block node.
 
         Mirrors :meth:`_run_dynamics_sets` op for op -- including the
         aliasing of each node's live IN set when its sizes are recorded
-        -- so the emitted trace is byte-identical.  The per-successor
-        union of a whole out-set becomes two int ops (``& ~`` and
-        ``|``) instead of a per-fact set update: the warp's GEN/KILL
-        lanes are applied as one batch.
+        -- so the emitted trace is identical.  The per-successor union
+        of a whole out-set is one ``|`` and one comparison instead of a
+        per-fact set update: the warp's GEN/KILL lanes are applied as
+        one batch.  ``sizes`` caches every node's popcount, so only a
+        union that grew a set is counted.
         """
-        node_count = sum(len(s.method.statements) for s in states)
+        out_fn = dispatch.out_fn
+        successors_of = dispatch.successors
+        node_count = len(out_fn)
         facts: List[int] = [0] * node_count
+        sizes: List[int] = [0] * node_count
         visited = [False] * node_count
         scheduled: Set[int] = set()
 
-        state_of: List[_MethodState] = []
-        local_of: List[int] = []
-        for state in states:
-            for local in range(len(state.method.statements)):
-                state_of.append(state)
-                local_of.append(local)
-
         worklist: List[int] = []
-        for state in states:
-            if state.method.statements:
-                entry = state.offset
-                facts[entry] = state.masked.entry_mask()
-                worklist.append(entry)
-                scheduled.add(entry)
+        for entry, mask in dispatch.entries:
+            facts[entry] = mask
+            sizes[entry] = mask.bit_count()
+            worklist.append(entry)
+            scheduled.add(entry)
 
-        meta = trace.node_meta
-        sort_key = (lambda n: meta[n].group) if (merging and self.sort_mer_worklist) else None
+        sort_key = (
+            dispatch.group.__getitem__
+            if (merging and self.sort_mer_worklist)
+            else None
+        )
+        iterations = trace.iterations
 
         while worklist:
             if sort_key is not None:
                 worklist.sort(key=sort_key)
             size = len(worklist)
-            head_count = min(size, WARP_SIZE) if merging else size
-            head = worklist[:head_count]
-            tail = worklist[head_count:]
+            if merging:
+                head = worklist[:WARP_SIZE]
+                tail = worklist[WARP_SIZE:]
+                dest_seen: Set[int] = set(tail)
+            else:
+                head = worklist
 
             visits: List[VisitRecord] = []
             growth: Dict[int, int] = {}
             destinations: List[int] = []
-            dest_seen: Set[int] = set(tail) if merging else set()
             iter_new: Dict[int, int] = {}
             iter_inserts: Dict[int, int] = {}
-            nondup_inserts = 0
-            dup_inserts = 0
 
             for node in head:
                 scheduled.discard(node)
-                state = state_of[node]
-                local = local_of[node]
-                masked = state.masked
-                out = masked.out_mask(local, facts[node])
-                identity = masked.is_identity(local)
+                in_mask = facts[node]
+                transfer = out_fn[node]
+                out = in_mask if transfer is None else transfer(in_mask)
                 new_counts: List[int] = []
-                for succ in meta[node].successors:
+                for succ in successors_of[node]:
                     succ_mask = facts[succ]
-                    added_bits = out & ~succ_mask
-                    added = added_bits.bit_count()
-                    new_counts.append(added)
-                    if added:
-                        succ_mask |= added_bits
-                        facts[succ] = succ_mask
-                        growth[succ] = succ_mask.bit_count()
+                    merged = succ_mask | out
+                    if merged != succ_mask:
+                        grown = merged.bit_count()
+                        added = grown - sizes[succ]
+                        facts[succ] = merged
+                        sizes[succ] = grown
+                        growth[succ] = grown
                         iter_new[succ] = iter_new.get(succ, 0) + added
-                    concurrent_dup = (
-                        not added
-                        and succ in growth
-                        and iter_inserts.get(succ, 0)
-                        < min(6 * iter_new.get(succ, 0), 32)
-                    )
-                    if added or concurrent_dup or not visited[succ]:
+                        new_counts.append(added)
                         if merging:
                             if succ not in dest_seen:
                                 dest_seen.add(succ)
                                 destinations.append(succ)
                         else:
-                            if added or concurrent_dup or succ not in scheduled:
-                                destinations.append(succ)
-                                scheduled.add(succ)
-                                iter_inserts[succ] = iter_inserts.get(succ, 0) + 1
-                                if concurrent_dup:
-                                    dup_inserts += 1
-                                else:
-                                    nondup_inserts += 1
+                            destinations.append(succ)
+                            scheduled.add(succ)
+                            iter_inserts[succ] = iter_inserts.get(succ, 0) + 1
+                        continue
+                    new_counts.append(0)
+                    if merging:
+                        # A concurrent duplicate of an already-grown
+                        # successor is in ``dest_seen`` by then.
+                        if not visited[succ] and succ not in dest_seen:
+                            dest_seen.add(succ)
+                            destinations.append(succ)
+                    elif (
+                        succ in growth
+                        and iter_inserts.get(succ, 0)
+                        < min(6 * iter_new.get(succ, 0), 32)
+                    ) or (not visited[succ] and succ not in scheduled):
+                        destinations.append(succ)
+                        scheduled.add(succ)
+                        iter_inserts[succ] = iter_inserts.get(succ, 0) + 1
                 # The set implementation records len() of the *live*
                 # IN set (and, for identity nodes, the live OUT alias)
                 # after the successor unions: a self-looping node sees
-                # its own growth.  Re-read the masks accordingly.
-                in_size = facts[node].bit_count()
-                out_size = in_size if identity else out.bit_count()
+                # its own growth.
+                in_size = sizes[node]
                 visits.append(
                     VisitRecord(
-                        node=node,
-                        in_size=in_size,
-                        out_size=out_size,
-                        new_facts=tuple(new_counts),
-                        first_visit=not visited[node],
+                        node,
+                        in_size,
+                        in_size if transfer is None else out.bit_count(),
+                        tuple(new_counts),
+                        not visited[node],
                     )
                 )
                 visited[node] = True
 
-            trace.iterations.append(
+            iterations.append(
                 IterationRecord(
-                    worklist_size=size,
-                    visits=tuple(visits),
-                    growth=tuple(sorted(growth.items())),
-                    merged=len(destinations) if merging else 0,
+                    size,
+                    tuple(visits),
+                    tuple(sorted(growth.items())),
+                    len(destinations) if merging else 0,
                 )
             )
             if merging:
                 worklist = destinations + tail
             else:
                 worklist = destinations
-        return [mask_to_set(mask) for mask in facts]
+        return facts
 
     def _run_dynamics_sets(
         self,
@@ -483,41 +591,29 @@ class BlockRunner:
         if self._is_scc:
             for signature in self.assignment.methods:
                 summaries.setdefault(signature, MethodSummary(signature=signature))
+        masked = host_perf_enabled()
 
         rounds = 0
+        meta: Optional[Tuple[NodeMeta, ...]] = None
         while True:
             rounds += 1
             states = self._build_states(summaries)
-            meta = self._node_meta(states)
-            trace_sync = BlockTrace(
-                block_id=self.assignment.block_id,
-                layer=self.assignment.layer,
-                methods=self.assignment.methods,
-                node_meta=meta,
+            meta = self._node_meta(states, meta)
+            dispatch = _MaskDispatch(states, meta) if masked else None
+            trace_sync = self._new_trace(meta)
+            facts = self._run_dynamics(
+                states, dispatch, merging=False, trace=trace_sync
             )
-            facts = self._run_dynamics(states, merging=False, trace=trace_sync)
-
-            new_summaries: Dict[str, MethodSummary] = {}
-            method_facts: Dict[str, MethodFacts] = {}
-            for state in states:
-                count = len(state.method.statements)
-                node_facts = tuple(
-                    frozenset(facts[state.offset + local]) for local in range(count)
+            exit_facts = {
+                state.signature: self._exit_facts(state, facts, masked)
+                for state in states
+            }
+            new_summaries: Dict[str, MethodSummary] = {
+                state.signature: SummaryBuilder(state.space).build(
+                    exit_facts[state.signature]
                 )
-                exit_out: Set[int] = set()
-                for exit_local in state.cfg.exits:
-                    exit_out |= state.transfer.out_facts(
-                        exit_local, facts[state.offset + exit_local]
-                    )
-                method_facts[state.signature] = MethodFacts(
-                    space=state.space,
-                    node_facts=node_facts,
-                    exit_facts=frozenset(exit_out),
-                )
-                new_summaries[state.signature] = SummaryBuilder(
-                    state.space
-                ).build(exit_out)
-
+                for state in states
+            }
             if not self._is_scc:
                 break
             stable = all(
@@ -531,18 +627,41 @@ class BlockRunner:
 
         trace_mer: Optional[BlockTrace] = None
         if self.record_mer:
-            trace_mer = BlockTrace(
-                block_id=self.assignment.block_id,
-                layer=self.assignment.layer,
-                methods=self.assignment.methods,
-                node_meta=meta,
+            trace_mer = self._new_trace(meta)
+            mer_facts = self._run_dynamics(
+                states, dispatch, merging=True, trace=trace_mer
             )
-            mer_facts = self._run_dynamics(states, merging=True, trace=trace_mer)
             trace_mer.summary_rounds = rounds
-            # Both dynamics must land on the same fixed point.
-            assert mer_facts == facts, (
-                f"block {self.assignment.block_id}: MER dynamics diverged "
-                "from the synchronous fixed point"
+            if mer_facts != facts:
+                raise DynamicsDivergenceError(
+                    f"block {self.assignment.block_id}: MER dynamics "
+                    "diverged from the synchronous fixed point"
+                )
+
+        # Node fact sets are materialized once, for the final round:
+        # equal masks (straight-line code forwards its IN unchanged)
+        # share one frozenset.
+        if masked:
+            views: Dict[int, FrozenSet[int]] = {}
+
+            def view(mask: int) -> FrozenSet[int]:
+                frozen = views.get(mask)
+                if frozen is None:
+                    frozen = views[mask] = mask_to_frozenset(mask)
+                return frozen
+
+        else:
+            view = frozenset
+        method_facts: Dict[str, MethodFacts] = {}
+        for state in states:
+            offset = state.offset
+            method_facts[state.signature] = MethodFacts(
+                space=state.space,
+                node_facts=tuple(
+                    view(facts[offset + local])
+                    for local in range(len(state.method.statements))
+                ),
+                exit_facts=exit_facts[state.signature],
             )
 
         seed_sizes = tuple(
@@ -558,3 +677,22 @@ class BlockRunner:
             trace_mer=trace_mer,
             seed_sizes=seed_sizes,
         )
+
+    @staticmethod
+    def _exit_facts(
+        state: _MethodState, facts: Sequence, masked: bool
+    ) -> FrozenSet[int]:
+        """Union of the OUT facts of the method's exit nodes."""
+        offset = state.offset
+        if masked:
+            out_mask = state.masked.out_mask
+            exit_mask = 0
+            for exit_local in state.cfg.exits:
+                exit_mask |= out_mask(exit_local, facts[offset + exit_local])
+            return mask_to_frozenset(exit_mask)
+        exit_out: Set[int] = set()
+        for exit_local in state.cfg.exits:
+            exit_out |= state.transfer.out_facts(
+                exit_local, facts[offset + exit_local]
+            )
+        return frozenset(exit_out)

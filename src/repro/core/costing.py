@@ -22,7 +22,10 @@ cost channels:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import GDroidConfig
 from repro.core.trace import BlockTrace, NodeMeta, VisitRecord
@@ -141,6 +144,333 @@ def _sort_cycles(costs: CostTable, n: int) -> float:
     return costs.sort_cycles_per_element * width * passes
 
 
+def _sequential_sum(values: np.ndarray) -> float:
+    """``0.0 + v[0] + v[1] + ...`` in order, like a Python ``+=`` loop.
+
+    ``np.add.accumulate`` is a left-to-right running sum (no pairwise
+    reassociation), so the result matches the scalar replay's
+    accumulator bit for bit.
+    """
+    if not len(values):
+        return 0.0
+    return float(np.add.accumulate(values, dtype=np.float64)[-1])
+
+
+#: Index dtype of the stored lane and entry tables (halves their
+#: memory; every block-local count fits comfortably).
+_INDEX = np.int32
+
+
+def _compact(values: List[int]) -> np.ndarray:
+    """A per-visit integer column in the stored dtype (NumPy raises
+    ``OverflowError`` rather than wrap a value that does not fit)."""
+    return np.array(values, dtype=_INDEX)
+
+
+class _WarpOrder:
+    """One warp order of a trace's visits, with its per-warp tables.
+
+    Lanes are numbered in issue order -- the recorded order, or each
+    iteration stably sorted by access group under GRP -- so every warp
+    is a contiguous lane range.  Tables are NumPy vectors over lanes,
+    warps, or (warp, branch class) *entries*: the distinct branch
+    classes of each warp in first-appearance order, which is the order
+    the scalar replay sums their costs in.  Only what pricing reads is
+    kept; the lane-to-warp map and segment ids are transient.
+    """
+
+    __slots__ = (
+        "perm",
+        "lanes",
+        "warp_count",
+        "classes_per_warp",
+        "record_transactions",
+        "fact_transactions",
+        "_entry_sort",
+        "_entry_runs",
+        "_entry_order",
+        "_entry_warp",
+        "_entry_column",
+    )
+
+    def __init__(
+        self,
+        tables: "TraceTables",
+        grouped: bool,
+        warp_size: int,
+        segment_bytes: int,
+        record_bytes: int,
+    ) -> None:
+        meta = tables.meta
+        counts = tables.counts
+        lane_node = tables.lane_node
+        if grouped:
+            lane_class = np.array([m.group for m in meta], dtype=np.int64)[lane_node]
+            # Stable, like the replay's sorted(visits, key=group).
+            lane_iteration = np.repeat(np.arange(len(counts)), counts)
+            self.perm = np.lexsort((lane_class, lane_iteration)).astype(_INDEX)
+            lane_node = lane_node[self.perm]
+            lane_class = lane_class[self.perm]
+            storage = np.array([m.grouped_position for m in meta], dtype=np.int64)
+        else:
+            self.perm = None
+            lane_class = np.array(
+                [m.branch_class for m in meta], dtype=np.int64
+            )[lane_node]
+            storage = np.arange(len(meta), dtype=np.int64)
+
+        warps_per_iteration = (counts + warp_size - 1) // warp_size
+        first_warp = np.cumsum(warps_per_iteration) - warps_per_iteration
+        position = np.arange(len(lane_node)) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        lane_warp = np.repeat(first_warp, counts) + position // warp_size
+        self.warp_count = int(warps_per_iteration.sum())
+        self.lanes = np.bincount(lane_warp, minlength=self.warp_count)
+
+        # (warp, class) entries: sort lanes by key, keep each run's
+        # first lane, then restore first-appearance order.
+        width = int(lane_class.max()) + 1 if len(lane_class) else 1
+        key = lane_warp * width + lane_class
+        entry_sort = np.argsort(key, kind="stable")
+        sorted_key = key[entry_sort]
+        runs = np.flatnonzero(
+            np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
+        ) if len(sorted_key) else np.zeros(0, dtype=np.int64)
+        entry_order = np.argsort(entry_sort[runs])
+        entry_warp = (sorted_key[runs] // width)[entry_order]
+        self.classes_per_warp = np.bincount(entry_warp, minlength=self.warp_count)
+        entry_start = np.cumsum(self.classes_per_warp) - self.classes_per_warp
+        self._entry_column = (
+            np.arange(len(entry_warp)) - np.repeat(entry_start, self.classes_per_warp)
+        ).astype(_INDEX)
+        self._entry_sort = entry_sort.astype(_INDEX)
+        self._entry_runs = runs.astype(_INDEX)
+        self._entry_order = entry_order.astype(_INDEX)
+        self._entry_warp = entry_warp.astype(_INDEX)
+
+        # Node records: each lane fetches its node's record.
+        self.record_transactions = self._distinct_per_warp(
+            lane_warp, storage[lane_node] * record_bytes, record_bytes, segment_bytes
+        )
+        # MAT fact rows: each lane reads its node's row and writes each
+        # successor's -- one element per CSR entry of the lane's node.
+        pointer, elements = tables.fact_elements()
+        degree = np.diff(pointer)[lane_node]
+        element = elements[
+            np.repeat(pointer[lane_node] - (np.cumsum(degree) - degree), degree)
+            + np.arange(int(degree.sum()))
+        ]
+        self.fact_transactions = self._distinct_per_warp(
+            np.repeat(lane_warp, degree),
+            storage[element] * MAT_ROW_BYTES,
+            MAT_ROW_BYTES,
+            segment_bytes,
+        )
+
+    def _distinct_per_warp(
+        self,
+        warp: np.ndarray,
+        address: np.ndarray,
+        access_bytes: int,
+        segment_bytes: int,
+    ) -> np.ndarray:
+        """Distinct memory segments per warp touched by accesses of
+        ``access_bytes`` at ``address`` (an access may straddle two)."""
+        if not len(warp):
+            return np.zeros(self.warp_count, dtype=np.int64)
+        first = address // segment_bytes
+        last = (address + max(access_bytes, 1) - 1) // segment_bytes
+        stride = int(last.max()) + 1
+        keys = warp * stride + first
+        straddles = last != first
+        if straddles.any():
+            keys = np.concatenate((keys, warp[straddles] * stride + last[straddles]))
+        keys.sort()
+        distinct = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        return np.bincount(distinct // stride, minlength=self.warp_count)
+
+    def permuted(self, lane_values: np.ndarray) -> np.ndarray:
+        """Per-visit values (recorded order) in this order's lane order."""
+        return lane_values if self.perm is None else lane_values[self.perm]
+
+    def class_max(self, lane_values: np.ndarray) -> np.ndarray:
+        """Largest lane value of every (warp, class) entry."""
+        if not len(lane_values):
+            return lane_values
+        runs = np.maximum.reduceat(lane_values[self._entry_sort], self._entry_runs)
+        return runs[self._entry_order]
+
+    def warp_sums(self, entry_values: np.ndarray) -> np.ndarray:
+        """Per warp, its entries' values summed left to right."""
+        width = int(self.classes_per_warp.max()) if self.warp_count else 0
+        if not width:
+            return np.zeros(self.warp_count, dtype=np.float64)
+        grid = np.zeros((self.warp_count, width), dtype=np.float64)
+        grid[self._entry_warp, self._entry_column] = entry_values
+        total = grid[:, 0].copy()
+        for column in range(1, width):
+            total += grid[:, column]
+        return total
+
+    def warp_totals(self, lane_values: np.ndarray) -> np.ndarray:
+        """Per warp, the sum of an integer per-visit column."""
+        if not self.warp_count:
+            return self.lanes
+        return np.add.reduceat(
+            self.permuted(lane_values), np.cumsum(self.lanes) - self.lanes
+        )
+
+
+class TraceTables:
+    """Config-independent pricing data of one :class:`BlockTrace`.
+
+    Built once per trace by :func:`trace_tables` and shared by every
+    configuration that prices the trace and by the CPU models: each
+    visit's new-fact total and MAT work, the plain and group-sorted
+    warp orders with their segment counts, and the set store's capacity
+    replay.  Tables live as long as the trace, so the per-visit ones
+    are compact NumPy vectors rather than Python lists.
+    """
+
+    __slots__ = (
+        "meta",
+        "iteration_count",
+        "worklist_sizes",
+        "merged",
+        "counts",
+        "new_total",
+        "lane_node",
+        "_iterations",
+        "_mat_units",
+        "_elements",
+        "_orders",
+        "_growth",
+    )
+
+    def __init__(self, trace: BlockTrace) -> None:
+        iterations = trace.iterations
+        self.meta = trace.node_meta
+        self.iteration_count = len(iterations)
+        self._iterations = iterations
+        self.worklist_sizes = [it.worklist_size for it in iterations]
+        self.merged = [it.merged for it in iterations]
+        self.counts = np.array(
+            [len(it.visits) for it in iterations], dtype=np.int64
+        )
+        self.new_total = _compact(
+            [sum(v.new_facts) for it in iterations for v in it.visits]
+        )
+        self.lane_node = _compact([v.node for it in iterations for v in it.visits])
+        self._mat_units: Optional[np.ndarray] = None
+        self._elements: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._orders: Dict[Tuple[bool, int, int, int], _WarpOrder] = {}
+        self._growth: Dict[
+            Tuple[Tuple[int, int], ...], Tuple[int, List[int], Dict[int, int]]
+        ] = {}
+
+    def visits(self) -> Iterator[VisitRecord]:
+        """Every recorded visit, in recorded order."""
+        return chain.from_iterable(it.visits for it in self._iterations)
+
+    def order(
+        self,
+        grouped: bool,
+        warp_size: int,
+        segment_bytes: int,
+        record_bytes: int,
+    ) -> _WarpOrder:
+        """The plain (``grouped=False``) or group-sorted warp order."""
+        key = (grouped, warp_size, segment_bytes, record_bytes)
+        order = self._orders.get(key)
+        if order is None:
+            order = self._orders[key] = _WarpOrder(self, *key)
+        return order
+
+    def mat_units(self) -> np.ndarray:
+        """Per visit, MAT entry lookups: OUT's facts (one-time
+        generators only on their first visit) plus one per new fact."""
+        if self._mat_units is None:
+            generates_always = [m.group != 0 for m in self.meta]
+            gen_work = _compact(
+                [
+                    v.out_size if (generates_always[v.node] or v.first_visit) else 0
+                    for it in self._iterations
+                    for v in it.visits
+                ]
+            )
+            self._mat_units = gen_work + self.new_total
+        return self._mat_units
+
+    def set_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per visit, set-store work: entries scanned and scattered
+        bucket accesses."""
+        iterations = self._iterations
+        scans = np.array(
+            [
+                v.in_size + v.out_size * (len(v.new_facts) or 1)
+                for it in iterations
+                for v in it.visits
+            ],
+            dtype=np.int64,
+        )
+        in_size = np.array(
+            [v.in_size for it in iterations for v in it.visits], dtype=np.int64
+        )
+        return scans, 1 + (in_size + self.new_total + 3) // 4
+
+    def fact_elements(self) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR of the nodes whose fact rows a visit touches: the node
+        itself, then its successors."""
+        if self._elements is None:
+            pointer = np.zeros(len(self.meta) + 1, dtype=np.int64)
+            pointer[1:] = np.cumsum([1 + len(m.successors) for m in self.meta])
+            elements = np.array(
+                [node for m in self.meta for node in (m.node, *m.successors)],
+                dtype=np.int64,
+            )
+            self._elements = (pointer, elements)
+        return self._elements
+
+    def growth(
+        self, seed_sizes: Sequence[Tuple[int, int]]
+    ) -> Tuple[int, List[int], Dict[int, int]]:
+        """Set-store capacity replay (bottleneck 1).
+
+        Returns the reallocations of seeding the entry sets, the
+        reallocations of each iteration's growth, and the final
+        capacity of every node that has one.
+        """
+        key = tuple(seed_sizes)
+        cached = self._growth.get(key)
+        if cached is None:
+            model = _SetCapacityModel()
+            seed_events = 0
+            for node, size in key:
+                seed_events += model.grow_to(node, size)
+            events: List[int] = []
+            for iteration in self._iterations:
+                count = 0
+                for node, size in iteration.growth:
+                    count += model.grow_to(node, size)
+                events.append(count)
+            cached = (seed_events, events, model.capacities)
+            self._growth[key] = cached
+        return cached
+
+
+def trace_tables(trace: BlockTrace) -> TraceTables:
+    """The trace's shared pricing tables, built on first use."""
+    tables = trace.tables
+    if (
+        tables is None
+        or tables.iteration_count != len(trace.iterations)
+        or tables.meta is not trace.node_meta
+    ):
+        tables = trace.tables = TraceTables(trace)
+    return tables
+
+
 def price_block(
     trace: BlockTrace,
     config: GDroidConfig,
@@ -148,29 +478,28 @@ def price_block(
 ) -> BlockCost:
     """Price one block's trace under ``config``; see module docstring.
 
-    Dispatches between the fused replay loop (per-node lane data
-    precomputed once per trace, transaction segments counted inline)
+    Dispatches between the replay over the trace's shared
+    :class:`TraceTables` (per-warp work only, once the tables exist)
     and the seed's per-visit :class:`LaneWork` /
     :func:`repro.gpu.warp.execute_warp` path.  Both produce identical
     cycle counts -- the fast path replicates the scalar accumulation
     order so even the float sums match bit for bit.
     """
     if host_perf_enabled():
-        return _price_block_fast(trace, config, seed_sizes)
+        return _price_block_tables(trace, config, seed_sizes)
     return _price_block_scalar(trace, config, seed_sizes)
 
 
-def _price_block_fast(
+def _price_block_tables(
     trace: BlockTrace,
     config: GDroidConfig,
     seed_sizes: Sequence[Tuple[int, int]] = (),
 ) -> BlockCost:
-    """Fused trace replay: one pass, no per-lane descriptor objects."""
+    """Table-driven replay: per-warp float accumulation only."""
     costs = config.costs
     spec = config.spec
     warp_size = spec.warp_size
     segment_bytes = spec.memory_segment_bytes
-    meta = trace.node_meta
     use_mat = config.use_mat
     use_grp = config.use_grp
 
@@ -179,115 +508,57 @@ def _price_block_fast(
         record_bytes > segment_bytes
         or MAT_ROW_BYTES > segment_bytes
         or MemoryModel.REGION_STRIDE % segment_bytes
+        or costs.mat_lookup_cycles < 0
     ):  # pragma: no cover - exotic spec; exactness over speed
         return _price_block_scalar(trace, config, seed_sizes)
 
-    # -- per-node lane data, hoisted out of the per-visit loop ----------------
-    if use_grp:
-        branch_of = [str(m.group) for m in meta]
-        storage_of = [m.grouped_position for m in meta]
-    else:
-        branch_of = [str(m.branch_class) for m in meta]
-        storage_of = [m.node for m in meta]
-    if use_mat:
-        fact_elements_of = [
-            [storage_of[m.node]] + [storage_of[succ] for succ in m.successors]
-            for m in meta
-        ]
-        generates_always = [m.group != 0 for m in meta]
-
+    tables = trace_tables(trace)
+    order = tables.order(use_grp, warp_size, segment_bytes, record_bytes)
     node_issue = costs.node_issue_cycles
-    mat_lookup = costs.mat_lookup_cycles
-    set_scan = costs.set_scan_cycles_per_entry
-    set_insert = costs.set_insert_cycles
-    transaction_cycles = costs.memory_transaction_cycles
-    divergence_pass = costs.divergence_pass_cycles
-    record_span = max(record_bytes, 1) - 1
-    row_span = MAT_ROW_BYTES - 1
 
-    compute_cycles = 0.0
-    divergence_cycles = 0.0
-    memory_cycles = 0.0
+    if use_mat:
+        entry_work = order.class_max(order.permuted(tables.mat_units()))
+        entry_cycles = node_issue + costs.mat_lookup_cycles * entry_work
+        transactions = order.record_transactions + order.fact_transactions
+    else:
+        scans, scattered = tables.set_columns()
+        lane_cycles = (
+            node_issue
+            + costs.set_scan_cycles_per_entry * order.permuted(scans)
+            + costs.set_insert_cycles * order.permuted(tables.new_total)
+        )
+        entry_cycles = order.class_max(lane_cycles)
+        transactions = order.record_transactions + order.warp_totals(scattered)
+    compute_cycles = _sequential_sum(order.warp_sums(entry_cycles))
+    divergence_cycles = _sequential_sum(
+        (order.classes_per_warp - 1) * costs.divergence_pass_cycles
+    )
+    memory_cycles = _sequential_sum(
+        transactions * costs.memory_transaction_cycles
+    )
+    warp_cycles = _sequential_sum(
+        np.full(order.warp_count, costs.warp_base_cycles, dtype=np.float64)
+    )
+    idle_lane_cycles = _sequential_sum((warp_size - order.lanes) * node_issue)
+
     alloc_stall_cycles = 0.0
+    if not use_mat:
+        seed_events, events, _ = tables.growth(seed_sizes)
+        alloc_stall_cycles += seed_events * costs.dynamic_alloc_cycles
+        for count in events:
+            alloc_stall_cycles += count * costs.dynamic_alloc_cycles
+
     sort_cycles = 0.0
     sync_cycles = 0.0
-    idle_lane_cycles = 0.0
-    warp_cycles = 0.0
-    total_visits = 0
-
-    capacity_model = _SetCapacityModel()
-    if not use_mat:
-        seed_events = 0
-        for node, size in seed_sizes:
-            seed_events += capacity_model.grow_to(node, size)
-        alloc_stall_cycles += seed_events * costs.dynamic_alloc_cycles
-
-    for iteration in trace.iterations:
-        visits: Sequence[VisitRecord] = iteration.visits
-        total_visits += len(visits)
+    for worklist_size, count, merged in zip(
+        tables.worklist_sizes, tables.counts.tolist(), tables.merged
+    ):
         if use_grp:
-            visits = sorted(visits, key=lambda v: meta[v.node].group)
-            sort_cycles += _sort_cycles(costs, iteration.worklist_size)
-
-        for start in range(0, len(visits), warp_size):
-            chunk = visits[start : start + warp_size]
-            by_class: Dict[str, float] = {}
-            scattered = 0
-            record_segments = set()
-            fact_segments = set()
-            for visit in chunk:
-                node = visit.node
-                new_total = sum(visit.new_facts)
-                if use_mat:
-                    gen_work = (
-                        visit.out_size
-                        if (generates_always[node] or visit.first_visit)
-                        else 0
-                    )
-                    compute = node_issue + mat_lookup * (gen_work + new_total)
-                    for element in fact_elements_of[node]:
-                        address = element * MAT_ROW_BYTES
-                        fact_segments.add(address // segment_bytes)
-                        fact_segments.add((address + row_span) // segment_bytes)
-                else:
-                    compute = (
-                        node_issue
-                        + set_scan
-                        * (
-                            visit.in_size
-                            + visit.out_size * max(len(visit.new_facts), 1)
-                        )
-                        + set_insert * new_total
-                    )
-                    scattered += 1 + (visit.in_size + new_total + 3) // 4
-                branch = branch_of[node]
-                current = by_class.get(branch)
-                if current is None or compute > current:
-                    by_class[branch] = compute
-                address = storage_of[node] * record_bytes
-                record_segments.add(address // segment_bytes)
-                if record_span:
-                    record_segments.add((address + record_span) // segment_bytes)
-
-            compute_cycles += sum(by_class.values())
-            divergence_cycles += (len(by_class) - 1) * divergence_pass
-            transactions = len(record_segments) + len(fact_segments) + scattered
-            memory_cycles += transactions * transaction_cycles
-            warp_cycles += costs.warp_base_cycles
-            idle_lane_cycles += (warp_size - len(chunk)) * node_issue
-
-        if not use_mat:
-            events = 0
-            for node, size in iteration.growth:
-                events += capacity_model.grow_to(node, size)
-            alloc_stall_cycles += events * costs.dynamic_alloc_cycles
-
-        sync_cycles += (
-            costs.iteration_sync_cycles
-            + costs.worklist_op_cycles * len(visits)
-        )
-        if config.use_mer and iteration.merged:
-            sync_cycles += costs.merge_op_cycles * iteration.merged
+            sort_cycles += _sort_cycles(costs, worklist_size)
+        sync_cycles += costs.iteration_sync_cycles + costs.worklist_op_cycles * count
+        if config.use_mer and merged:
+            sync_cycles += costs.merge_op_cycles * merged
+    total_visits = int(tables.counts.sum())
 
     rounds = max(1, trace.summary_rounds)
     factor = float(rounds)
@@ -410,14 +681,9 @@ def set_store_bytes(
     """Final set-store footprint of one block (Fig. 10, set side)."""
     from repro.dataflow.lattice import BYTES_PER_ENTRY, SET_HEADER_BYTES
 
-    capacity_model = _SetCapacityModel()
-    for node, size in seed_sizes:
-        capacity_model.grow_to(node, size)
-    for iteration in trace.iterations:
-        for node, size in iteration.growth:
-            capacity_model.grow_to(node, size)
+    _, _, capacities = trace_tables(trace).growth(seed_sizes)
     total = trace.node_count * SET_HEADER_BYTES
     for node in range(trace.node_count):
-        capacity = capacity_model.capacities.get(node, INITIAL_CAPACITY)
+        capacity = capacities.get(node, INITIAL_CAPACITY)
         total += capacity * BYTES_PER_ENTRY
     return total

@@ -86,6 +86,8 @@ class AppWorkload:
         "idfg",
         "profile",
         "tuning",
+        "_set_footprint",
+        "_matrix_footprint",
     )
 
     def __init__(
@@ -109,6 +111,8 @@ class AppWorkload:
         self.idfg = idfg
         self.profile = profile
         self.tuning = tuning
+        self._set_footprint: Optional[int] = None
+        self._matrix_footprint: Optional[int] = None
 
     @classmethod
     def build(
@@ -218,22 +222,29 @@ class AppWorkload:
 
     # -- memory footprints (Fig. 10) -----------------------------------------------
 
+    # Both footprints are pure functions of the block results, so each
+    # is computed once per workload and shared by every pricing call.
+
     def set_store_footprint(self) -> int:
         """Device bytes of the set-based fact store, app-wide."""
-        return sum(
-            set_store_bytes(result.trace_sync, result.seed_sizes)
-            for result in self.block_results
-        )
+        if self._set_footprint is None:
+            self._set_footprint = sum(
+                set_store_bytes(result.trace_sync, result.seed_sizes)
+                for result in self.block_results
+            )
+        return self._set_footprint
 
     def matrix_store_footprint(self) -> int:
         """Device bytes of the MAT bit-matrix store, app-wide."""
-        total = 0
-        for result in self.block_results:
-            for facts in result.method_facts.values():
-                node_count = len(facts.node_facts)
-                bits = facts.space.fact_universe * node_count
-                total += (bits + 7) // 8
-        return total
+        if self._matrix_footprint is None:
+            total = 0
+            for result in self.block_results:
+                for facts in result.method_facts.values():
+                    node_count = len(facts.node_facts)
+                    bits = facts.space.fact_universe * node_count
+                    total += (bits + 7) // 8
+            self._matrix_footprint = total
+        return self._matrix_footprint
 
     def staged_bytes(self) -> int:
         """Host->device image size of this app."""

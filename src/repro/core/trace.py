@@ -12,7 +12,7 @@ what differs between configurations -- replays the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,9 +36,15 @@ class NodeMeta:
     row_words: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class VisitRecord:
-    """One node processed by one lane in one iteration."""
+    """One node processed by one lane in one iteration.
+
+    Treated as immutable once recorded.  Not ``frozen``: a frozen
+    dataclass pays an ``object.__setattr__`` call per field on
+    construction, and the block runner records one of these per node
+    visit.
+    """
 
     node: int
     #: |IN| when the lane read its fact set.
@@ -52,9 +58,12 @@ class VisitRecord:
     first_visit: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IterationRecord:
-    """One while-loop iteration of a block's worklist."""
+    """One while-loop iteration of a block's worklist.
+
+    Treated as immutable once recorded (see :class:`VisitRecord`).
+    """
 
     #: Worklist length at the top of the iteration (Table II histogram).
     worklist_size: int
@@ -80,6 +89,12 @@ class BlockTrace:
     iterations: List[IterationRecord] = field(default_factory=list)
     #: Fixed-point rounds for recursive SCC blocks (1 otherwise).
     summary_rounds: int = 1
+    #: Config-independent pricing tables, built on first use by
+    #: :func:`repro.core.costing.trace_tables` and shared by every
+    #: configuration and CPU model that prices this trace.
+    tables: Optional[Any] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def node_count(self) -> int:

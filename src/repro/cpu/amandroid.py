@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.costing import trace_tables
 from repro.core.engine import AppWorkload
 from repro.cpu.multicore import CPUSpec, XEON_GOLD_5115
 
@@ -111,13 +112,12 @@ class AmandroidModel:
         for result in workload.block_results:
             trace = result.trace_mer or result.trace_sync
             rounds = max(1, trace.summary_rounds)
-            for iteration in trace.iterations:
-                for visit in iteration.visits:
-                    idfg += rounds * (
-                        costs.visit_cycles
-                        + costs.fact_cycles
-                        * (visit.in_size + sum(visit.new_facts))
-                    )
+            tables = trace_tables(trace)
+            for visit, new_total in zip(tables.visits(), tables.new_total.tolist()):
+                idfg += rounds * (
+                    costs.visit_cycles
+                    + costs.fact_cycles * (visit.in_size + new_total)
+                )
             for facts in result.method_facts.values():
                 total_facts += facts.fact_count()
 

@@ -22,6 +22,7 @@ from typing import Dict, List, Sequence
 
 import heapq
 
+from repro.core.costing import trace_tables
 from repro.core.engine import AppWorkload
 
 
@@ -106,21 +107,19 @@ class MulticoreWorklist:
         """Sequential cycles of each method's FIFO worklist run."""
         costs = self.costs
         cycles: Dict[str, float] = {}
-        visits: Dict[str, int] = {}
         for result in workload.block_results:
             trace = result.trace_mer or result.trace_sync
-            meta = trace.node_meta
+            tables = trace_tables(trace)
+            method_of = [m.method for m in trace.node_meta]
             rounds = max(1, trace.summary_rounds)
-            for iteration in trace.iterations:
-                for visit in iteration.visits:
-                    method = meta[visit.node].method
-                    work = (
-                        costs.visit_cycles
-                        + costs.fact_scan_cycles * visit.in_size
-                        + costs.fact_insert_cycles * sum(visit.new_facts)
-                    )
-                    cycles[method] = cycles.get(method, 0.0) + work * rounds
-                    visits[method] = visits.get(method, 0) + rounds
+            for visit, new_total in zip(tables.visits(), tables.new_total.tolist()):
+                method = method_of[visit.node]
+                work = (
+                    costs.visit_cycles
+                    + costs.fact_scan_cycles * visit.in_size
+                    + costs.fact_insert_cycles * new_total
+                )
+                cycles[method] = cycles.get(method, 0.0) + work * rounds
         for method in cycles:
             cycles[method] += costs.method_overhead_cycles
         return cycles

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from repro.cfg.callgraph import CallGraph, SBDALayering
 from repro.cfg.environment import app_with_environments
-from repro.core.blockexec import BlockRunner, WARP_SIZE
+from repro.core.blockexec import BlockRunner, DynamicsDivergenceError, WARP_SIZE
 from repro.core.blocks import BlockAssignment, partition_layers
 from repro.core.config import TuningParameters
 from repro.core.engine import AppWorkload
 from repro.dataflow.worklist import analyze_app_reference
+from repro.perf import host_perf
 from tests.conftest import tiny_app
 
 
@@ -47,10 +48,32 @@ class TestFixedPointAgreement:
         )
 
     def test_mer_equals_sync_is_asserted_internally(self, demo_app):
-        # BlockRunner asserts mer_facts == sync facts; reaching here
-        # without AssertionError is the test.
+        # BlockRunner checks mer_facts == sync facts; reaching here
+        # without DynamicsDivergenceError is the test.
         results = run_blocks(demo_app, record_mer=True)
         assert all(r.trace_mer is not None for r in results)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_diverging_mer_run_raises_named_error(self, demo_app, masked):
+        """The agreement check is a real error, not an ``assert`` that
+        ``python -O`` strips."""
+
+        class DivergingRunner(BlockRunner):
+            def _run_dynamics(self, states, dispatch, merging, trace):
+                facts = super()._run_dynamics(states, dispatch, merging, trace)
+                if merging:
+                    facts = list(facts)
+                    first = facts[0]
+                    facts[0] = first ^ 1 if isinstance(first, int) else first ^ {0}
+                return facts
+
+        analyzed = app_with_environments(demo_app)
+        assignment = partition_layers(
+            analyzed, SBDALayering(CallGraph(analyzed)), TuningParameters()
+        )[0][0]
+        with host_perf(masked):
+            with pytest.raises(DynamicsDivergenceError, match="diverged"):
+                DivergingRunner(analyzed, assignment, {}).run()
 
 
 class TestTraceInvariants:

@@ -15,9 +15,19 @@ from hypothesis import strategies as st
 
 import repro.bench.harness as harness
 from repro.apk.corpus import AppCorpus
-from repro.apk.generator import GeneratorProfile, generate_app
+from repro.apk.generator import AppGenerator, GeneratorProfile, generate_app
 from repro.bench.cache import EvaluationCache, config_fingerprint, row_key
 from repro.bench.parallel import plan_chunks, resolve_jobs
+from repro.core.config import GDroidConfig
+from repro.core.costing import (
+    _price_block_scalar,
+    _price_block_tables,
+    trace_tables,
+)
+from repro.core.engine import AppWorkload
+from repro.core.gdroid_kernel import select_trace
+from repro.core.grouping import grouped_storage_order
+from repro.core.trace import BlockTrace, IterationRecord, NodeMeta, VisitRecord
 from repro.dataflow.bitset import (
     iter_bits,
     mask_from,
@@ -31,7 +41,9 @@ from repro.dataflow.matrix_store import BooleanMatrixStore, MatrixFactStore
 from repro.dataflow.transfer import MaskTransfer, TransferFunctions
 from repro.dataflow.worklist import SequentialWorklist, analyze_app_reference
 from repro.gpu.memory import transactions_for_addresses, _transactions_scalar
+from repro.gpu.spec import CostTable
 from repro.perf import host_perf, host_perf_enabled, set_host_perf
+from tests.conftest import SMALL_PROFILE
 
 
 @pytest.fixture()
@@ -132,6 +144,144 @@ def test_transactions_fast_equals_scalar(addresses, access_bytes):
     fast = transactions_for_addresses(addresses, access_bytes)
     scalar = _transactions_scalar(addresses, access_bytes)
     assert fast == scalar
+
+
+# -- mask-native block dynamics -----------------------------------------------
+
+
+def _block_results(app, enabled):
+    with host_perf(enabled):
+        return AppWorkload.build(app).block_results
+
+
+def test_masked_dynamics_record_the_seed_traces():
+    """Mask-native dynamics and the set oracle record equal traces.
+
+    The app has a recursive SCC block that needs a second summary
+    round, so the comparison covers re-run rounds as well as both
+    dynamics (sync and MER).
+    """
+    app = AppGenerator(SMALL_PROFILE).generate(1)
+    fast = _block_results(app, True)
+    seed = _block_results(app, False)
+    assert any(result.trace_sync.summary_rounds > 1 for result in fast)
+    assert len(fast) == len(seed)
+    for masked, oracle in zip(fast, seed):
+        assert masked.trace_sync == oracle.trace_sync
+        assert masked.trace_mer == oracle.trace_mer
+        assert masked.summaries == oracle.summaries
+        assert masked.seed_sizes == oracle.seed_sizes
+        assert set(masked.method_facts) == set(oracle.method_facts)
+        for signature, facts in oracle.method_facts.items():
+            assert masked.method_facts[signature].node_facts == facts.node_facts
+            assert masked.method_facts[signature].exit_facts == facts.exit_facts
+
+
+# -- shared per-trace pricing tables ------------------------------------------
+
+#: Default costs are integer-valued, which makes every float sum exact
+#: in any order; the skewed table makes accumulation order observable.
+_SKEWED_COSTS = CostTable().scaled(
+    **{
+        f.name: getattr(CostTable(), f.name) * 1.1 + 0.013
+        for f in dataclasses.fields(CostTable)
+        if isinstance(getattr(CostTable(), f.name), float)
+    }
+)
+#: 48-byte node records straddle 128-byte segments.
+_STRADDLING_COSTS = CostTable().scaled(node_record_bytes=48)
+_PRICING_CONFIGS = tuple(
+    make(costs=costs)
+    for costs in (CostTable(), _SKEWED_COSTS, _STRADDLING_COSTS)
+    for make in (
+        GDroidConfig.plain,
+        GDroidConfig.mat_only,
+        GDroidConfig.mat_grp,
+        GDroidConfig.all_optimizations,
+    )
+)
+
+
+@st.composite
+def _synthetic_traces(draw):
+    """Random traces: empty blocks, single- and multi-warp iterations,
+    and SCC blocks charged for several summary rounds."""
+    node_count = draw(st.integers(min_value=0, max_value=10))
+    groups = [draw(st.integers(min_value=0, max_value=2)) for _ in range(node_count)]
+    positions = grouped_storage_order(groups)
+    successor = st.integers(min_value=0, max_value=max(node_count - 1, 0))
+    meta = tuple(
+        NodeMeta(
+            node=node,
+            method="a.B.m()V",
+            local_index=node,
+            branch_class=draw(st.integers(min_value=0, max_value=24)),
+            group=groups[node],
+            grouped_position=positions[node],
+            successors=tuple(draw(st.lists(successor, max_size=3))),
+            row_words=1,
+        )
+        for node in range(node_count)
+    )
+    trace = BlockTrace(
+        block_id=0, layer=0, methods=("a.B.m()V",), node_meta=meta
+    )
+    size = st.integers(min_value=0, max_value=60)
+    if node_count:
+        node = st.integers(min_value=0, max_value=node_count - 1)
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            visits = []
+            for _ in range(draw(st.integers(min_value=1, max_value=40))):
+                visited = draw(node)
+                visits.append(
+                    VisitRecord(
+                        node=visited,
+                        in_size=draw(size),
+                        out_size=draw(size),
+                        new_facts=tuple(
+                            draw(size) for _ in meta[visited].successors
+                        ),
+                        first_visit=draw(st.booleans()),
+                    )
+                )
+            growth = draw(st.dictionaries(node, size, max_size=4))
+            trace.iterations.append(
+                IterationRecord(
+                    worklist_size=len(visits) + draw(size),
+                    visits=tuple(visits),
+                    growth=tuple(sorted(growth.items())),
+                    merged=draw(size),
+                )
+            )
+        seed_sizes = tuple(sorted(draw(st.dictionaries(node, size, max_size=3)).items()))
+    else:
+        seed_sizes = ()
+    trace.summary_rounds = draw(st.integers(min_value=1, max_value=3))
+    return trace, seed_sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_synthetic_traces())
+def test_shared_tables_price_like_the_scalar_replay(case):
+    trace, seed_sizes = case
+    for config in _PRICING_CONFIGS:
+        assert _price_block_tables(trace, config, seed_sizes) == (
+            _price_block_scalar(trace, config, seed_sizes)
+        )
+    # Every config priced the one trace through the same tables.
+    assert trace.tables is trace_tables(trace)
+
+
+def test_shared_tables_price_real_blocks_like_the_scalar_replay():
+    app = AppGenerator(SMALL_PROFILE).generate(1)
+    results = _block_results(app, True)
+    assert any(result.trace_sync.summary_rounds > 1 for result in results)
+    for result in results:
+        for config in _PRICING_CONFIGS:
+            trace = select_trace(result, config)
+            assert _price_block_tables(trace, config, result.seed_sizes) == (
+                _price_block_scalar(trace, config, result.seed_sizes)
+            )
 
 
 # -- end-to-end bit-exactness -------------------------------------------------
