@@ -1,32 +1,39 @@
-"""Host-side performance layer: packed/parallel harness vs the seed path.
+"""Host-side performance layer: packed/parallel harness vs the seed program.
 
 Runs a 24-app corpus slice through the full evaluation harness three
 ways and records wall-clock and process peak RSS:
 
-* ``legacy-serial``  -- ``REPRO_HOST_PERF=0``: the seed's boolean
-  matrix store, set-based dynamics and scalar pricing loop.
-* ``packed-serial``  -- the packed-bitset store, masked dynamics and
-  fused pricing (the default).
-* ``packed-jobs4``   -- the packed path fanned out over 4 forked
+* ``legacy-serial``  -- the seed program, run through
+  :func:`tests.seed_oracle.seed_path`: set-based block dynamics and
+  worklist, uncached summary footprints, the scalar pricing replay and
+  the per-address transaction walk.
+* ``packed-serial``  -- the production path: mask-native dynamics,
+  shared pricing tables and direct segment counting.
+* ``packed-jobs4``   -- the production path fanned out over 4 forked
   workers (on a single-core host this mainly demonstrates determinism,
   not speedup).
 
 All three legs must produce byte-identical :class:`AppEvaluation`
 rows, and the packed-serial leg must be at least 3x faster than the
-seed path.  Results go to ``benchmarks/results/BENCH_host_perf.json``.
+seed program.  Results go to ``benchmarks/results/BENCH_host_perf.json``.
 """
 
 import json
 import os
 import resource
+import sys
 import time
+from contextlib import nullcontext
+from pathlib import Path
 
 import repro.bench.harness as harness
 from repro.apk.corpus import AppCorpus
 from repro.bench.figures import render_table
-from repro.perf import host_perf
 
 from conftest import RESULTS_DIR, publish
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.seed_oracle import seed_path  # noqa: E402
 
 #: Slice size; override with REPRO_HOST_PERF_BENCH_APPS.
 BENCH_APPS = int(os.environ.get("REPRO_HOST_PERF_BENCH_APPS", "24"))
@@ -41,10 +48,14 @@ def _peak_rss_bytes() -> int:
     return max(own, kids) * 1024
 
 
-def _run_leg(corpus, enabled: bool, jobs: int):
-    """One cold harness sweep; returns (rows, wall_s, peak_rss)."""
+def _run_leg(corpus, jobs: int = 1, seed: bool = False):
+    """One cold harness sweep; returns (rows, wall_s, peak_rss).
+
+    ``seed`` runs the seed program, which is patched in for this
+    process only: a seed leg must stay serial.
+    """
     harness._CACHE.clear()
-    with host_perf(enabled):
+    with seed_path() if seed else nullcontext():
         started = time.perf_counter()
         rows = harness.evaluate_corpus(corpus, jobs=jobs, no_cache=True)
         wall = time.perf_counter() - started
@@ -54,9 +65,9 @@ def _run_leg(corpus, enabled: bool, jobs: int):
 def test_host_perf_speedup():
     corpus = AppCorpus(size=BENCH_APPS)
 
-    legacy_rows, legacy_s, legacy_rss = _run_leg(corpus, False, jobs=1)
-    packed_rows, packed_s, packed_rss = _run_leg(corpus, True, jobs=1)
-    jobs_rows, jobs_s, jobs_rss = _run_leg(corpus, True, jobs=4)
+    legacy_rows, legacy_s, legacy_rss = _run_leg(corpus, seed=True)
+    packed_rows, packed_s, packed_rss = _run_leg(corpus)
+    jobs_rows, jobs_s, jobs_rss = _run_leg(corpus, jobs=4)
 
     assert packed_rows == legacy_rows, "packed path must be bit-exact"
     assert jobs_rows == legacy_rows, "parallel path must be bit-exact"

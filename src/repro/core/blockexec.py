@@ -23,10 +23,10 @@ Recursive SCC blocks iterate whole rounds until their joint summaries
 stabilize; the recorded trace is the final round's, and
 ``summary_rounds`` tells the cost adapters how many rounds to charge.
 
-In the default (host-perf) mode facts stay int masks through the whole
-block run -- both dynamics, the MER/sync agreement check, exit facts and
-summaries -- and the :class:`MethodFacts` frozensets are built once,
-from the final round's masks.
+Facts stay int masks through the whole block run -- both dynamics, the
+MER/sync agreement check, exit facts and summaries -- and the
+:class:`MethodFacts` frozensets are built once, from the final round's
+masks.
 """
 
 from __future__ import annotations
@@ -53,13 +53,12 @@ from repro.core.grouping import (
     grouped_storage_order,
 )
 from repro.core.trace import BlockTrace, IterationRecord, NodeMeta, VisitRecord
-from repro.dataflow.bitset import mask_to_frozenset
+from repro.dataflow.bitset import freeze_masks, mask_to_frozenset
 from repro.dataflow.facts import CalleeFootprint, FactSpace
 from repro.dataflow.idfg import MethodFacts
 from repro.dataflow.summaries import MethodSummary, SummaryBuilder
 from repro.dataflow.transfer import MaskTransfer, TransferFunctions
 from repro.ir.app import AndroidApp
-from repro.perf import host_perf_enabled
 
 #: CUDA warp size; the head-list granularity of MER.
 WARP_SIZE = 32
@@ -109,16 +108,12 @@ class _MethodState:
         signature: str,
         summaries,
         offset: int,
-        footprints: Optional[Dict[str, CalleeFootprint]] = None,
+        footprints: Dict[str, CalleeFootprint],
         cfg: Optional[IntraCFG] = None,
     ):
         self.signature = signature
         self.method = app.method_table[signature]
         self.cfg = cfg if cfg is not None else build_intra_cfg(self.method)
-        if footprints is None:
-            footprints = {
-                sig: summary.footprint() for sig, summary in summaries.items()
-            }
         self.space = FactSpace(self.method, footprints)
         self.transfer = TransferFunctions(self.space, summaries)
         self.offset = offset
@@ -200,15 +195,11 @@ class BlockRunner:
         # is identical for every method of the block: resolve them once
         # per round instead of once per method state, and only for the
         # block's callees -- the table holds every lower layer's methods.
-        footprints = (
-            {
-                sig: summaries[sig].footprint()
-                for sig in self._callees
-                if sig in summaries
-            }
-            if host_perf_enabled()
-            else None
-        )
+        footprints = {
+            sig: summaries[sig].footprint()
+            for sig in self._callees
+            if sig in summaries
+        }
         states: List[_MethodState] = []
         offset = 0
         for signature in self.assignment.methods:
@@ -292,38 +283,20 @@ class BlockRunner:
 
     def _run_dynamics(
         self,
-        states: Sequence[_MethodState],
-        dispatch: Optional[_MaskDispatch],
-        merging: bool,
-        trace: BlockTrace,
-    ) -> List:
-        """Execute one fixed-point run; returns per-block-node facts.
-
-        With a ``dispatch`` table the packed-bitset implementation runs
-        and the facts are int masks (whole GEN/KILL batches per mask
-        op); without one, the seed's per-element set implementation
-        runs and the facts are sets.  Both record identical traces and
-        land on identical fixed points.
-        """
-        if dispatch is not None:
-            return self._run_dynamics_masked(dispatch, merging, trace)
-        return self._run_dynamics_sets(states, merging, trace)
-
-    def _run_dynamics_masked(
-        self,
         dispatch: _MaskDispatch,
         merging: bool,
         trace: BlockTrace,
     ) -> List[int]:
-        """Packed-bitset dynamics: one int mask per block node.
+        """Execute one fixed-point run; returns one int mask per block node.
 
-        Mirrors :meth:`_run_dynamics_sets` op for op -- including the
-        aliasing of each node's live IN set when its sizes are recorded
-        -- so the emitted trace is identical.  The per-successor union
-        of a whole out-set is one ``|`` and one comparison instead of a
-        per-fact set update: the warp's GEN/KILL lanes are applied as
-        one batch.  ``sizes`` caches every node's popcount, so only a
-        union that grew a set is counted.
+        Records the same trace as the seed's per-element set dynamics
+        (kept as the test oracle in ``tests/seed_oracle.py``), including
+        the aliasing of each node's live IN set when its sizes are
+        recorded.  The per-successor union of a whole out-set is one
+        ``|`` and one comparison instead of a per-fact set update: the
+        warp's GEN/KILL lanes are applied as one batch.  ``sizes``
+        caches every node's popcount, so only a union that grew a set
+        is counted.
         """
         out_fn = dispatch.out_fn
         successors_of = dispatch.successors
@@ -405,7 +378,7 @@ class BlockRunner:
                         destinations.append(succ)
                         scheduled.add(succ)
                         iter_inserts[succ] = iter_inserts.get(succ, 0) + 1
-                # The set implementation records len() of the *live*
+                # The seed's set dynamics record len() of the *live*
                 # IN set (and, for identity nodes, the live OUT alias)
                 # after the successor unions: a self-looping node sees
                 # its own growth.
@@ -427,138 +400,6 @@ class BlockRunner:
                     tuple(visits),
                     tuple(sorted(growth.items())),
                     len(destinations) if merging else 0,
-                )
-            )
-            if merging:
-                worklist = destinations + tail
-            else:
-                worklist = destinations
-        return facts
-
-    def _run_dynamics_sets(
-        self,
-        states: Sequence[_MethodState],
-        merging: bool,
-        trace: BlockTrace,
-    ) -> List[Set[int]]:
-        """The seed's per-element set dynamics (baseline / oracle)."""
-        node_count = sum(len(s.method.statements) for s in states)
-        facts: List[Set[int]] = [set() for _ in range(node_count)]
-        visited = [False] * node_count
-        scheduled: Set[int] = set()
-
-        state_of: List[_MethodState] = []
-        local_of: List[int] = []
-        for state in states:
-            for local in range(len(state.method.statements)):
-                state_of.append(state)
-                local_of.append(local)
-
-        worklist: List[int] = []
-        for state in states:
-            if state.method.statements:
-                entry = state.offset
-                facts[entry] = set(state.space.entry_facts())
-                worklist.append(entry)
-                scheduled.add(entry)
-
-        meta = trace.node_meta
-        sort_key = (lambda n: meta[n].group) if (merging and self.sort_mer_worklist) else None
-
-        while worklist:
-            if sort_key is not None:
-                worklist.sort(key=sort_key)
-            size = len(worklist)
-            # MER (Alg. 3 line 8, "nid < 32"): each iteration processes
-            # exactly one full warp; the remainder is the postponed
-            # tail that merges with the new destinations.  Without MER
-            # the whole worklist is processed.
-            head_count = min(size, WARP_SIZE) if merging else size
-            head = worklist[:head_count]
-            tail = worklist[head_count:]
-
-            visits: List[VisitRecord] = []
-            growth: Dict[int, int] = {}
-            destinations: List[int] = []
-            dest_seen: Set[int] = set(tail) if merging else set()
-            #: Facts added to each successor this iteration, and how
-            #: many duplicate insertions we have attributed to them.
-            iter_new: Dict[int, int] = {}
-            iter_inserts: Dict[int, int] = {}
-            nondup_inserts = 0
-            dup_inserts = 0
-
-            for node in head:
-                scheduled.discard(node)
-                state = state_of[node]
-                local = local_of[node]
-                in_set = facts[node]
-                out = state.transfer.out_facts(local, in_set)
-                new_counts: List[int] = []
-                for succ in meta[node].successors:
-                    succ_facts = facts[succ]
-                    before = len(succ_facts)
-                    succ_facts |= out
-                    added = len(succ_facts) - before
-                    new_counts.append(added)
-                    if added:
-                        growth[succ] = len(succ_facts)
-                    # GPU lanes run concurrently: a lane whose atomic
-                    # union added at least one fact observes
-                    # update() == true and inserts the successor --
-                    # even when another lane already inserted it this
-                    # iteration.  Each new fact is attributed to
-                    # exactly one lane, so the number of duplicate
-                    # insertions per successor is bounded by the facts
-                    # it gained this iteration.  This is the paper's
-                    # "redundant node analyses" that MER deduplicates.
-                    if added:
-                        iter_new[succ] = iter_new.get(succ, 0) + added
-                    # Bounded by the lanes that actually touch the
-                    # successor this iteration, and scaled by how much
-                    # it grew (a one-fact nudge rarely races with many
-                    # lanes; a burst of new facts does).
-                    # Bounded per successor: the number of racing
-                    # lanes cannot exceed the facts being added (each
-                    # atomic union attributes a fact to one lane) nor a
-                    # warp's worth of simultaneously racing inserters.
-                    concurrent_dup = (
-                        not added
-                        and succ in growth
-                        and iter_inserts.get(succ, 0)
-                        < min(6 * iter_new.get(succ, 0), 32)
-                    )
-                    if added or concurrent_dup or not visited[succ]:
-                        if merging:
-                            if succ not in dest_seen:
-                                dest_seen.add(succ)
-                                destinations.append(succ)
-                        else:
-                            if added or concurrent_dup or succ not in scheduled:
-                                destinations.append(succ)
-                                scheduled.add(succ)
-                                iter_inserts[succ] = iter_inserts.get(succ, 0) + 1
-                                if concurrent_dup:
-                                    dup_inserts += 1
-                                else:
-                                    nondup_inserts += 1
-                visits.append(
-                    VisitRecord(
-                        node=node,
-                        in_size=len(in_set),
-                        out_size=len(out),
-                        new_facts=tuple(new_counts),
-                        first_visit=not visited[node],
-                    )
-                )
-                visited[node] = True
-
-            trace.iterations.append(
-                IterationRecord(
-                    worklist_size=size,
-                    visits=tuple(visits),
-                    growth=tuple(sorted(growth.items())),
-                    merged=len(destinations) if merging else 0,
                 )
             )
             if merging:
@@ -591,7 +432,6 @@ class BlockRunner:
         if self._is_scc:
             for signature in self.assignment.methods:
                 summaries.setdefault(signature, MethodSummary(signature=signature))
-        masked = host_perf_enabled()
 
         rounds = 0
         meta: Optional[Tuple[NodeMeta, ...]] = None
@@ -599,13 +439,11 @@ class BlockRunner:
             rounds += 1
             states = self._build_states(summaries)
             meta = self._node_meta(states, meta)
-            dispatch = _MaskDispatch(states, meta) if masked else None
+            dispatch = _MaskDispatch(states, meta)
             trace_sync = self._new_trace(meta)
-            facts = self._run_dynamics(
-                states, dispatch, merging=False, trace=trace_sync
-            )
+            facts = self._run_dynamics(dispatch, merging=False, trace=trace_sync)
             exit_facts = {
-                state.signature: self._exit_facts(state, facts, masked)
+                state.signature: self._exit_facts(state, facts)
                 for state in states
             }
             new_summaries: Dict[str, MethodSummary] = {
@@ -628,9 +466,7 @@ class BlockRunner:
         trace_mer: Optional[BlockTrace] = None
         if self.record_mer:
             trace_mer = self._new_trace(meta)
-            mer_facts = self._run_dynamics(
-                states, dispatch, merging=True, trace=trace_mer
-            )
+            mer_facts = self._run_dynamics(dispatch, merging=True, trace=trace_mer)
             trace_mer.summary_rounds = rounds
             if mer_facts != facts:
                 raise DynamicsDivergenceError(
@@ -641,25 +477,14 @@ class BlockRunner:
         # Node fact sets are materialized once, for the final round:
         # equal masks (straight-line code forwards its IN unchanged)
         # share one frozenset.
-        if masked:
-            views: Dict[int, FrozenSet[int]] = {}
-
-            def view(mask: int) -> FrozenSet[int]:
-                frozen = views.get(mask)
-                if frozen is None:
-                    frozen = views[mask] = mask_to_frozenset(mask)
-                return frozen
-
-        else:
-            view = frozenset
+        views: Dict[int, FrozenSet[int]] = {}
         method_facts: Dict[str, MethodFacts] = {}
         for state in states:
             offset = state.offset
             method_facts[state.signature] = MethodFacts(
                 space=state.space,
-                node_facts=tuple(
-                    view(facts[offset + local])
-                    for local in range(len(state.method.statements))
+                node_facts=freeze_masks(
+                    facts[offset : offset + len(state.method.statements)], views
                 ),
                 exit_facts=exit_facts[state.signature],
             )
@@ -679,20 +504,11 @@ class BlockRunner:
         )
 
     @staticmethod
-    def _exit_facts(
-        state: _MethodState, facts: Sequence, masked: bool
-    ) -> FrozenSet[int]:
+    def _exit_facts(state: _MethodState, facts: Sequence[int]) -> FrozenSet[int]:
         """Union of the OUT facts of the method's exit nodes."""
         offset = state.offset
-        if masked:
-            out_mask = state.masked.out_mask
-            exit_mask = 0
-            for exit_local in state.cfg.exits:
-                exit_mask |= out_mask(exit_local, facts[offset + exit_local])
-            return mask_to_frozenset(exit_mask)
-        exit_out: Set[int] = set()
+        out_mask = state.masked.out_mask
+        exit_mask = 0
         for exit_local in state.cfg.exits:
-            exit_out |= state.transfer.out_facts(
-                exit_local, facts[offset + exit_local]
-            )
-        return frozenset(exit_out)
+            exit_mask |= out_mask(exit_local, facts[offset + exit_local])
+        return mask_to_frozenset(exit_mask)

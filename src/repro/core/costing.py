@@ -34,7 +34,6 @@ from repro.gpu.kernel import BlockCost
 from repro.gpu.memory import MemoryModel
 from repro.gpu.spec import CostTable
 from repro.gpu.warp import LaneWork, REGION_FACTS, execute_warp, form_warps
-from repro.perf import host_perf_enabled
 
 #: Modeled bytes per fact-matrix row touched per visit (a handful of
 #: 64-bit mask words); rows of neighbouring nodes are adjacent, so
@@ -478,16 +477,14 @@ def price_block(
 ) -> BlockCost:
     """Price one block's trace under ``config``; see module docstring.
 
-    Dispatches between the replay over the trace's shared
-    :class:`TraceTables` (per-warp work only, once the tables exist)
-    and the seed's per-visit :class:`LaneWork` /
-    :func:`repro.gpu.warp.execute_warp` path.  Both produce identical
-    cycle counts -- the fast path replicates the scalar accumulation
-    order so even the float sums match bit for bit.
+    Replays the trace over its shared :class:`TraceTables` (per-warp
+    work only, once the tables exist).  The cycle counts equal the
+    seed's per-visit :class:`LaneWork` / :func:`repro.gpu.warp.
+    execute_warp` replay (:func:`_price_block_scalar`, still the path
+    for exotic specs) -- the table replay keeps the scalar accumulation
+    order, so even the float sums match bit for bit.
     """
-    if host_perf_enabled():
-        return _price_block_tables(trace, config, seed_sizes)
-    return _price_block_scalar(trace, config, seed_sizes)
+    return _price_block_tables(trace, config, seed_sizes)
 
 
 def _price_block_tables(
@@ -592,7 +589,9 @@ def _price_block_scalar(
     config: GDroidConfig,
     seed_sizes: Sequence[Tuple[int, int]] = (),
 ) -> BlockCost:
-    """The seed's per-visit lane descriptor replay (baseline)."""
+    """Per-visit lane descriptor replay: the fallback of
+    :func:`_price_block_tables` for exotic specs, and the reference the
+    table replay is tested against."""
     costs = config.costs
     memory = MemoryModel(config.spec)
     warp_size = config.spec.warp_size

@@ -22,7 +22,7 @@ Both encodings index bits by the fact integer
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -107,3 +107,23 @@ def mask_to_set(mask: int) -> Set[int]:
 def mask_to_frozenset(mask: int) -> FrozenSet[int]:
     """The int mask's bits as a frozenset of fact ids."""
     return frozenset(bit_indices(mask))
+
+
+def freeze_masks(
+    masks: Iterable[int], views: Optional[Dict[int, FrozenSet[int]]] = None
+) -> Tuple[FrozenSet[int], ...]:
+    """One frozenset per mask; equal masks share one frozenset.
+
+    ``views`` caches ``mask -> frozenset`` and may be shared across
+    calls, so straight-line code, which forwards its IN unchanged,
+    holds one set object per distinct fact set.
+    """
+    if views is None:
+        views = {}
+    frozen: List[FrozenSet[int]] = []
+    for mask in masks:
+        view = views.get(mask)
+        if view is None:
+            view = views[mask] = mask_to_frozenset(mask)
+        frozen.append(view)
+    return tuple(frozen)

@@ -11,7 +11,7 @@ can report the total device memory footprint for Fig. 10.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 #: Initial per-set capacity (number of fact entries) pre-allocated on
 #: the device, and the growth factor used on overflow.
@@ -66,25 +66,6 @@ class SetFactStore:
             self._capacities[node] *= GROWTH_FACTOR
             self.alloc_events += 1
             self.grow_counts[node] += 1
-
-    def seed_from_masks(self, masks: Sequence[int]) -> None:
-        """Load final per-node facts from int bitsets (host-perf path).
-
-        Capacity doubling is monotone in the set size, so the end-state
-        accounting (capacities, grow counts, allocation events) depends
-        only on each node's final cardinality -- replaying it from the
-        fixed-point masks yields exactly the state an insertion-by-
-        insertion run would have reached.
-        """
-        from repro.dataflow.bitset import mask_to_set
-
-        for node, mask in enumerate(masks):
-            self._sets[node] = mask_to_set(mask)
-            size = len(self._sets[node])
-            while size > self._capacities[node]:
-                self._capacities[node] *= GROWTH_FACTOR
-                self.alloc_events += 1
-                self.grow_counts[node] += 1
 
     # -- queries --------------------------------------------------------------
 

@@ -75,14 +75,17 @@ class MethodSummary:
         """What a caller's fact space must contain to apply this summary.
 
         The summary is immutable, so the footprint is computed once and
-        memoized on the instance (host-perf mode): every block of every
-        layer re-resolves its callees' footprints on the hot path.
+        memoized on the instance: every block of every layer re-resolves
+        its callees' footprints on the hot path.
         """
-        from repro.perf import host_perf_enabled
-
         cached = self.__dict__.get("_footprint")
-        if cached is not None and host_perf_enabled():
-            return cached
+        if cached is None:
+            cached = self._compute_footprint()
+            object.__setattr__(self, "_footprint", cached)
+        return cached
+
+    def _compute_footprint(self) -> CalleeFootprint:
+        """The footprint, derived afresh from the summary's fields."""
         globals_touched = set(self.globals_read) | set(self.global_writes)
         globals_touched |= self.return_globals
         for (target, _field_name) in self.field_writes:
@@ -107,7 +110,7 @@ class MethodSummary:
         for (target, _field_name) in self.field_writes:
             if target[0] == "pfield":
                 fields_written |= {target[2]}
-        result = CalleeFootprint(
+        return CalleeFootprint(
             globals_touched=frozenset(globals_touched),
             fields_written=frozenset(fields_written),
             returns_value=self.returns_fresh
@@ -115,8 +118,6 @@ class MethodSummary:
             or bool(self.return_globals)
             or bool(self.return_pfields),
         )
-        object.__setattr__(self, "_footprint", result)
-        return result
 
     def is_identity(self) -> bool:
         """True when applying this summary can never add a fact."""

@@ -1,9 +1,11 @@
-"""The sequential worklist algorithm (paper Alg. 1) -- the oracle.
+"""The sequential worklist algorithm (paper Alg. 1) -- the reference.
 
-This is the faithful CPU-style implementation: a FIFO worklist, one
-node popped and processed at a time, facts propagated to successors,
-updated successors re-enqueued, until the fixed point.  Every GPU
-variant must produce identical per-node facts.
+A CPU-style FIFO worklist: one node popped and processed at a time,
+facts propagated to successors, updated successors re-enqueued, until
+the fixed point.  Every GPU dynamics variant must produce identical
+per-node facts.  Facts are int bitsets for the whole run; the seed's
+per-element set loop, which must agree with it visit for visit, lives
+in ``tests/seed_oracle.py``.
 
 :func:`analyze_app_reference` drives the whole-app pipeline:
 environment synthesis, call-graph layering, bottom-up SBDA summary
@@ -14,26 +16,24 @@ and one per-method fixed-point run, yielding the :class:`IDFG`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.cfg.callgraph import CallGraph, SBDALayering
 from repro.cfg.environment import app_with_environments
-from repro.cfg.intra import IntraCFG, build_intra_cfg
-from repro.dataflow.bitset import mask_to_frozenset
+from repro.cfg.intra import build_intra_cfg
+from repro.dataflow.bitset import freeze_masks, mask_to_frozenset
 from repro.dataflow.facts import CalleeFootprint, FactSpace
 from repro.dataflow.idfg import IDFG, MethodFacts
-from repro.dataflow.lattice import SetFactStore
 from repro.dataflow.summaries import MethodSummary, SummaryBuilder
 from repro.dataflow.transfer import MaskTransfer, TransferFunctions
 from repro.ir.app import AndroidApp
 from repro.ir.method import Method
-from repro.perf import host_perf_enabled
 
 
 class SequentialWorklist:
     """Alg. 1 for one method: FIFO worklist to the fixed point."""
 
-    __slots__ = ("cfg", "space", "transfer", "store", "visits", "iterations")
+    __slots__ = ("cfg", "space", "transfer", "visits")
 
     def __init__(
         self,
@@ -49,63 +49,24 @@ class SequentialWorklist:
             }
         self.space = FactSpace(method, footprints)
         self.transfer = TransferFunctions(self.space, summaries)
-        self.store = SetFactStore(len(method.statements))
         #: Total node visits / pop-process steps (profiling).
         self.visits = 0
-        self.iterations = 0
 
     def run(self) -> MethodFacts:
-        """Run to the fixed point and package the results."""
+        """Run to the fixed point and package the results.
+
+        Facts are int bitsets (:class:`MaskTransfer`): one ``|`` applies
+        a whole OUT set to a successor.  A successor is (re)queued
+        exactly when ``out & ~succ`` is non-zero, or when it was never
+        visited, so visit counts and the fixed point match the seed's
+        per-element set loop (kept as the test oracle in
+        ``tests/seed_oracle.py``) bit for bit.
+        """
         method = self.cfg.method
         if not method.statements:
             return MethodFacts(space=self.space, node_facts=(), exit_facts=frozenset())
-        if host_perf_enabled():
-            return self._run_masked()
-
-        self.store.replace(0, self.space.entry_facts())
-        worklist = deque([0])
-        queued = {0}
-        visited = [False] * len(method.statements)
-        while worklist:
-            node = worklist.popleft()
-            queued.discard(node)
-            visited[node] = True
-            self.visits += 1
-            self.iterations += 1
-            out = self.transfer.out_facts(node, self.store.get(node))
-            for successor in self.cfg.successors[node]:
-                grew = self.store.insert_all(successor, out)
-                # Alg. 1 "keeps iterating until all nodes are visited
-                # and all data-fact sets reach the fixed point": a
-                # successor is (re)queued when its facts grew, and
-                # every reachable node is processed at least once so
-                # its own GEN fires even under an empty IN.
-                if (grew or not visited[successor]) and successor not in queued:
-                    worklist.append(successor)
-                    queued.add(successor)
-
-        exit_out: Set[int] = set()
-        for exit_node in self.cfg.exits:
-            exit_out |= self.transfer.out_facts(
-                exit_node, self.store.get(exit_node)
-            )
-        return MethodFacts(
-            space=self.space,
-            node_facts=self.store.snapshot(),
-            exit_facts=frozenset(exit_out),
-        )
-
-    def _run_masked(self) -> MethodFacts:
-        """Alg. 1 over int bitsets: same trajectory, batched set unions.
-
-        The worklist discipline is identical to the set-based loop --
-        a successor is (re)queued exactly when ``out & ~succ`` is
-        non-zero -- so visit counts and the fixed point match the
-        oracle bit for bit; only the per-fact set churn is replaced by
-        whole-set mask operations.
-        """
         masked = MaskTransfer(self.transfer)
-        facts = [0] * len(self.cfg.method.statements)
+        facts = [0] * len(method.statements)
         facts[0] = masked.entry_mask()
         worklist = deque([0])
         queued = {0}
@@ -115,23 +76,26 @@ class SequentialWorklist:
             queued.discard(node)
             visited[node] = True
             self.visits += 1
-            self.iterations += 1
             out = masked.out_mask(node, facts[node])
             for successor in self.cfg.successors[node]:
                 added = out & ~facts[successor]
                 if added:
                     facts[successor] |= added
+                # Alg. 1 "keeps iterating until all nodes are visited
+                # and all data-fact sets reach the fixed point": a
+                # successor is (re)queued when its facts grew, and
+                # every reachable node is processed at least once so
+                # its own GEN fires even under an empty IN.
                 if (added or not visited[successor]) and successor not in queued:
                     worklist.append(successor)
                     queued.add(successor)
 
-        self.store.seed_from_masks(facts)
         exit_mask = 0
         for exit_node in self.cfg.exits:
             exit_mask |= masked.out_mask(exit_node, facts[exit_node])
         return MethodFacts(
             space=self.space,
-            node_facts=self.store.snapshot(),
+            node_facts=freeze_masks(facts),
             exit_facts=mask_to_frozenset(exit_mask),
         )
 

@@ -15,7 +15,6 @@ from typing import Iterable, List, Sequence, Set, Tuple
 import numpy as np
 
 from repro.gpu.spec import GPUSpec, TESLA_P40
-from repro.perf import host_perf_enabled
 
 
 def transactions_for_addresses(
@@ -28,7 +27,7 @@ def transactions_for_addresses(
     ``addresses`` are lane byte addresses; an access of ``access_bytes``
     starting near a segment boundary may straddle two segments.
     """
-    if host_perf_enabled() and access_bytes <= segment_bytes:
+    if access_bytes <= segment_bytes:
         # An access no wider than a segment touches its first segment
         # and at most the next one: the distinct-segment count is the
         # cardinality of {first} | {last}, no per-address range walk.
@@ -59,7 +58,8 @@ def _transactions_scalar(
     access_bytes: int = 4,
     segment_bytes: int = 128,
 ) -> int:
-    """The seed's per-address segment walk (baseline / wide accesses)."""
+    """Per-address segment walk: the only path for accesses wider than
+    a segment, and the reference the boundary count is tested against."""
     segments: Set[int] = set()
     for address in addresses:
         first = address // segment_bytes
@@ -110,7 +110,7 @@ class MemoryModel:
             return 0
         base = self.region_base(region)
         segment_bytes = self.spec.memory_segment_bytes
-        if host_perf_enabled() and element_bytes <= segment_bytes:
+        if element_bytes <= segment_bytes:
             # Same {first} | {last} segment counting as
             # :func:`transactions_for_addresses`, minus the
             # intermediate per-lane address list.

@@ -3,14 +3,14 @@
 The packed-bitset store, masked dynamics, fused pricing, parallel
 corpus pipeline and on-disk cache are all *transparent* accelerations:
 every observable number -- per-node fact sets, traces, and modeled
-cycle counts -- must be identical to the seed implementation's.  These
-tests pin that contract.
+cycle counts -- must be identical to the seed implementation's, which
+``tests/seed_oracle.py`` keeps runnable.  These tests pin that contract.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.bench.harness as harness
@@ -37,13 +37,17 @@ from repro.dataflow.bitset import (
     unpack_indices,
     words_for,
 )
-from repro.dataflow.matrix_store import BooleanMatrixStore, MatrixFactStore
+from repro.dataflow.matrix_store import MatrixFactStore
 from repro.dataflow.transfer import MaskTransfer, TransferFunctions
 from repro.dataflow.worklist import SequentialWorklist, analyze_app_reference
 from repro.gpu.memory import transactions_for_addresses, _transactions_scalar
 from repro.gpu.spec import CostTable
-from repro.perf import host_perf, host_perf_enabled, set_host_perf
-from tests.conftest import SMALL_PROFILE
+from tests.conftest import SMALL_PROFILE, tiny_app
+from tests.seed_oracle import BooleanMatrixStore, seed_path
+
+#: A ``tiny_app`` seed whose call graph has a recursive SCC, so the
+#: block runner iterates more than one summary round.
+_SCC_SEED = 6
 
 
 @pytest.fixture()
@@ -118,16 +122,26 @@ def test_mask_transfer_matches_set_transfer(app):
             assert mask_to_set(masked.out_mask(node, in_mask)) == out_set
 
 
-def test_masked_worklist_matches_legacy_oracle(app):
-    with host_perf(False):
+def _assert_worklist_matches_seed_oracle(app):
+    with seed_path():
         legacy = analyze_app_reference(app)
-    with host_perf(True):
-        fast = analyze_app_reference(app)
+    fast = analyze_app_reference(app)
     assert set(legacy.method_facts) == set(fast.method_facts)
     for signature, reference in legacy.method_facts.items():
         assert fast.method_facts[signature].node_facts == reference.node_facts
         assert fast.method_facts[signature].exit_facts == reference.exit_facts
     assert legacy.summaries == fast.summaries
+
+
+def test_masked_worklist_matches_legacy_oracle(app):
+    _assert_worklist_matches_seed_oracle(app)
+
+
+@settings(max_examples=10, deadline=None)
+@example(seed=_SCC_SEED)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_masked_worklist_matches_seed_oracle_on_random_apps(seed):
+    _assert_worklist_matches_seed_oracle(tiny_app(seed))
 
 
 # -- memory transaction model -------------------------------------------------
@@ -149,22 +163,15 @@ def test_transactions_fast_equals_scalar(addresses, access_bytes):
 # -- mask-native block dynamics -----------------------------------------------
 
 
-def _block_results(app, enabled):
-    with host_perf(enabled):
-        return AppWorkload.build(app).block_results
+def _block_results(app):
+    return AppWorkload.build(app).block_results
 
 
-def test_masked_dynamics_record_the_seed_traces():
-    """Mask-native dynamics and the set oracle record equal traces.
-
-    The app has a recursive SCC block that needs a second summary
-    round, so the comparison covers re-run rounds as well as both
-    dynamics (sync and MER).
-    """
-    app = AppGenerator(SMALL_PROFILE).generate(1)
-    fast = _block_results(app, True)
-    seed = _block_results(app, False)
-    assert any(result.trace_sync.summary_rounds > 1 for result in fast)
+def _assert_blocks_match_seed_oracle(app) -> int:
+    """Compare every block result; returns the most summary rounds."""
+    fast = _block_results(app)
+    with seed_path():
+        seed = _block_results(app)
     assert len(fast) == len(seed)
     for masked, oracle in zip(fast, seed):
         assert masked.trace_sync == oracle.trace_sync
@@ -175,6 +182,33 @@ def test_masked_dynamics_record_the_seed_traces():
         for signature, facts in oracle.method_facts.items():
             assert masked.method_facts[signature].node_facts == facts.node_facts
             assert masked.method_facts[signature].exit_facts == facts.exit_facts
+    return max((result.trace_sync.summary_rounds for result in fast), default=0)
+
+
+def test_masked_dynamics_record_the_seed_traces():
+    """Mask-native dynamics and the set oracle record equal traces.
+
+    The app has a recursive SCC block that needs a second summary
+    round, so the comparison covers re-run rounds as well as both
+    dynamics (sync and MER).
+    """
+    app = AppGenerator(SMALL_PROFILE).generate(1)
+    assert _assert_blocks_match_seed_oracle(app) > 1
+
+
+def test_masked_dynamics_record_the_seed_traces_on_random_apps():
+    """The same comparison as a property over generated apps; at least
+    one of them has a recursive SCC (more than one summary round)."""
+    rounds = []
+
+    @settings(max_examples=10, deadline=None)
+    @example(seed=_SCC_SEED)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def check(seed):
+        rounds.append(_assert_blocks_match_seed_oracle(tiny_app(seed)))
+
+    check()
+    assert max(rounds) > 1, "no generated app had a recursive SCC"
 
 
 # -- shared per-trace pricing tables ------------------------------------------
@@ -274,7 +308,7 @@ def test_shared_tables_price_like_the_scalar_replay(case):
 
 def test_shared_tables_price_real_blocks_like_the_scalar_replay():
     app = AppGenerator(SMALL_PROFILE).generate(1)
-    results = _block_results(app, True)
+    results = _block_results(app)
     assert any(result.trace_sync.summary_rounds > 1 for result in results)
     for result in results:
         for config in _PRICING_CONFIGS:
@@ -295,10 +329,9 @@ def test_evaluate_app_bit_exact_vs_seed_path(app):
     worklist profile -- any drift in facts, traces or accumulation
     order shows up here.
     """
-    with host_perf(False):
+    with seed_path():
         legacy = harness.evaluate_app(app)
-    with host_perf(True):
-        fast = harness.evaluate_app(app)
+    fast = harness.evaluate_app(app)
     assert fast == legacy
 
 
@@ -409,14 +442,3 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     (tmp_path / f"{key}.json").write_text("{not json")
     assert cache.load(key) is None
     assert cache.misses == 1
-
-
-# -- the switch itself --------------------------------------------------------
-
-
-def test_host_perf_toggle_restores_state():
-    before = host_perf_enabled()
-    with host_perf(not before):
-        assert host_perf_enabled() is (not before)
-    assert host_perf_enabled() is before
-    set_host_perf(before)

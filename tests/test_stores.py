@@ -11,7 +11,8 @@ from repro.dataflow.lattice import (
     SET_HEADER_BYTES,
     SetFactStore,
 )
-from repro.dataflow.matrix_store import BooleanMatrixStore, MatrixFactStore
+from repro.dataflow.matrix_store import MatrixFactStore
+from tests.seed_oracle import BooleanMatrixStore
 
 
 class TestSetFactStore:
