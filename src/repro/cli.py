@@ -271,7 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--timeout-s", type=float, default=None,
-        help="per-job wall-clock timeout (default: none)",
+        help="per-attempt limit on a stall before the pipeline starts: "
+        "a longer stall ends the attempt as a retryable timeout; a "
+        "running pipeline is never interrupted (default: none)",
     )
     serve.add_argument(
         "--strict", action="store_true",

@@ -12,9 +12,10 @@ Layout::
     queue.py    bounded intake with admission control / backpressure
     sharder.py  Table-I size-class batching + LPT worker placement
     faults.py   seeded fault injection (crash / OOM / corrupt / stall)
-    workers.py  device workers, pipeline execution, engine ladder
+    workers.py  pipeline execution, engine ladder
     journal.py  durable state: job journal + partitioned result stores
-    pool.py     real OS-process worker lanes (ProcessWorkerPool)
+    pool.py     device lanes: the one attempt path, run in-process
+                (InProcessPool) or in OS processes (ProcessWorkerPool)
     service.py  the orchestrator: retries, backoff, accounting, obs
 
 Quickstart::
@@ -53,7 +54,12 @@ from repro.serve.journal import (
     job_spec,
     replay_journal,
 )
-from repro.serve.pool import CRASH_EXIT_CODE, PoolSpec, ProcessWorkerPool
+from repro.serve.pool import (
+    CRASH_EXIT_CODE,
+    InProcessPool,
+    PoolSpec,
+    ProcessWorkerPool,
+)
 from repro.serve.queue import AdmissionError, AdmissionQueue
 from repro.serve.sharder import JobBatch, Sharder, classify, make_batches
 from repro.serve.service import (
@@ -71,7 +77,7 @@ from repro.serve.service import (
     serve_stream,
     submit_paths,
 )
-from repro.serve.workers import DeviceWorker, ENGINE_LADDER, run_pipeline
+from repro.serve.workers import ENGINE_LADDER, run_pipeline
 
 __all__ = [
     "ALL_KINDS",
@@ -79,11 +85,11 @@ __all__ = [
     "AdmissionQueue",
     "CRASH_EXIT_CODE",
     "CorpusSource",
-    "DeviceWorker",
     "DirectoryFeed",
     "ENGINE_LADDER",
     "FaultConfig",
     "FaultInjector",
+    "InProcessPool",
     "JobBatch",
     "JobJournal",
     "JobState",

@@ -1,13 +1,14 @@
 """Job records: the unit of work the vetting service tracks.
 
 A :class:`VetJob` is one app travelling through the service.  It is a
-mutable record: the service and its workers update the state machine
+mutable record: the orchestrator updates the state machine
 
-    pending -> admitted -> assigned -> running -> done | failed
-                              ^                     |
-                              +---- retry-wait <----+  (retryable fault)
+    pending -> admitted -> assigned -> done | failed
+                              ^    |
+                              |    v  (retryable fault)
+                            retry-wait
 
-and append to the audit fields (workers visited, faults hit, backoff
+and appends to the audit fields (workers visited, faults hit, backoff
 delays slept) as the job progresses.  ``to_json`` renders the record
 for the ``gdroid serve`` / ``gdroid submit`` CLIs, so every field here
 is part of the service's machine-readable surface.
@@ -28,7 +29,6 @@ class JobState:
     PENDING = "pending"
     ADMITTED = "admitted"
     ASSIGNED = "assigned"
-    RUNNING = "running"
     RETRY_WAIT = "retry-wait"
     DONE = "done"
     FAILED = "failed"
@@ -57,9 +57,9 @@ class VetJob:
     targets: Optional[List[str]] = None
     #: Rule-pack name/path to vet under (None = legacy grading only).
     #: A name, not a compiled pack: job records stay JSON-serializable
-    #: and workers resolve (and cache) the pack themselves.
+    #: and lanes resolve (and cache) the pack themselves.
     rules: Optional[str] = None
-    #: Whether workers resolve ICC targets (and stitch linked leaks)
+    #: Whether lanes resolve ICC targets (and stitch linked leaks)
     #: when vetting this job.  Mirrors ``gdroid vet --resolve-icc``.
     resolve_icc: bool = True
     #: Baseline ref for incremental re-vetting: ``"corpus"`` (the job's
@@ -67,10 +67,9 @@ class VetJob:
     #: version), or None (cold vet).  Mirrors ``gdroid vet --baseline``.
     baseline: Optional[str] = None
     state: str = JobState.PENDING
-    #: Processing attempts started (first run counts as attempt 1).
+    #: Processing attempts dispatched (the first counts as attempt 1).
     attempts: int = 0
-    max_attempts: int = 4
-    #: Worker id of every attempt, in order.
+    #: Lane (worker) id of every attempt, in order.
     workers: List[int] = field(default_factory=list)
     #: Fault kinds this job hit, in order (may repeat).
     faults: List[str] = field(default_factory=list)

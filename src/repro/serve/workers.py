@@ -1,9 +1,10 @@
-"""Simulated device workers: pipeline execution + degradation ladder.
+"""Pipeline execution and the engine degradation ladder.
 
-Each :class:`DeviceWorker` models one GPU-equipped vetting node.  It
-owns a real :class:`repro.gpu.allocator.DeviceAllocator` (so injected
-OOM is a genuine :class:`DeviceOutOfMemory` from the device-heap
-model) and a position on the **engine ladder**:
+:func:`run_pipeline` is one pass of the vetting pipeline for one app
+(loader output -> lint gate -> GDroid kernel -> vetting report); every
+serve attempt calls it through :func:`repro.serve.pool._attempt`.
+
+A device lane sits on a rung of the **engine ladder**:
 
     gdroid  ->  plain-gpu  ->  multicore-cpu
 
@@ -15,7 +16,7 @@ healthy.
 
 The *functional* result is engine-independent: every attempt runs the
 same :func:`repro.bench.harness.evaluate_app` matrix, so a row served
-by a degraded worker is bit-identical to one served at full health.
+by a degraded lane is bit-identical to one served at full health.
 The rung only selects which modeled platform time is reported as the
 job's serving latency, exactly like re-pointing a request at a slower
 replica.
@@ -23,21 +24,15 @@ replica.
 
 from __future__ import annotations
 
-import asyncio
 import functools
 from dataclasses import dataclass, replace
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
-from repro import obs
 from repro.apk.dex import pack_app, unpack_app
 from repro.core.engine import AppWorkload
-from repro.gpu.allocator import DeviceAllocator, DeviceOutOfMemory
-from repro.serve.faults import WorkerCrash
-from repro.serve.jobs import JobState, VetJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir.app import AndroidApp
-    from repro.serve.service import VettingService
 
 #: Degradation ladder, healthiest first.
 ENGINE_GDROID = "gdroid"
@@ -63,7 +58,7 @@ def engine_latency_s(row, engine: str) -> Optional[float]:
 def resolve_pack(name: str):
     """Load (and memoise) a rule pack by name/path for job processing.
 
-    Jobs carry pack *names* so their records stay JSON; every worker in
+    Jobs carry pack *names* so their records stay JSON; every lane in
     the process shares this cache, so a soak resolves each pack once.
     """
     from repro.rules.pack import load_pack
@@ -76,9 +71,9 @@ class PipelineResult:
     """What one successful pipeline pass produces."""
 
     row: object
-    verdict: Optional[str]
-    risk_score: Optional[int]
-    latency_s: Optional[float]
+    verdict: Optional[str] = None
+    risk_score: Optional[int] = None
+    latency_s: Optional[float] = None
     #: Total rule-pack findings (None unless the pass ran with rules).
     findings: Optional[int] = None
     #: Summary-store reuse counters (None unless the job carried a
@@ -125,11 +120,7 @@ def run_pipeline(
     ``targets`` is not combinable with a baseline (the CLI rejects the
     pair); the baseline path wins if both are passed.
     """
-    from repro.bench.harness import (
-        _lint_error_row,
-        evaluate_app,
-        finding_severity_counts,
-    )
+    from repro.bench.harness import _lint_error_row, evaluate_app
 
     if baseline_app is not None:
         return _run_incremental_pipeline(
@@ -139,43 +130,55 @@ def run_pipeline(
         return _run_targeted_pipeline(
             app, index, engine, strict, vet, targets, rules
         )
+    from repro.vetting.report import vet_workload
+
     if strict:
         from repro.lint import LintError
 
         try:
             workload = AppWorkload.build(app, lint_gate=True)
         except LintError as error:
-            return PipelineResult(
-                row=_lint_error_row(app, index, error),
-                verdict=None,
-                risk_score=None,
-                latency_s=None,
-            )
+            return PipelineResult(row=_lint_error_row(app, index, error))
     else:
         workload = AppWorkload.build(app)
     row = evaluate_app(app, workload)
-    latency = engine_latency_s(row, engine)
-    verdict = risk = findings = None
-    if vet or rules is not None:
-        from repro.vetting.report import vet_workload
-
-        report = vet_workload(
+    return _vetted(
+        row,
+        engine_latency_s(row, engine),
+        vet,
+        rules,
+        lambda analysis_time_s: vet_workload(
             app,
             workload,
-            analysis_time_s=latency or 0.0,
+            analysis_time_s=analysis_time_s,
             rules=rules,
             resolve_icc=resolve_icc,
-        )
+        ),
+    )
+
+
+def _vetted(
+    row, latency: Optional[float], vet: bool, rules, report: Callable
+) -> PipelineResult:
+    """Serve an evaluated ``row``, vetted by ``report(time_s)`` if asked.
+
+    Under a rule pack the served row carries the per-severity finding
+    counts: the same row ``evaluate_corpus(rules=pack)`` computes (same
+    workload, same pack, one vet).
+    """
+    from repro.bench.harness import finding_severity_counts
+
+    verdict = risk = findings = None
+    if vet or rules is not None:
+        vetting = report(latency or 0.0)
         if vet:
-            verdict, risk = report.verdict, report.risk_score
+            verdict, risk = vetting.verdict, vetting.risk_score
         if rules is not None:
-            # The row a rules job serves is the same row evaluate_corpus
-            # (rules=pack) computes: same workload, same pack, one vet.
             row = replace(
                 row,
-                finding_counts=finding_severity_counts(report.findings),
+                finding_counts=finding_severity_counts(vetting.findings),
             )
-            findings = len(report.findings)
+            findings = len(vetting.findings)
     return PipelineResult(
         row=row, verdict=verdict, risk_score=risk, latency_s=latency,
         findings=findings,
@@ -251,7 +254,6 @@ def _run_targeted_pipeline(
         TargetedSkipRow,
         _lint_error_row,
         evaluate_app,
-        finding_severity_counts,
     )
     from repro.lint import LintError
     from repro.vetting.targeted import (
@@ -264,12 +266,7 @@ def _run_targeted_pipeline(
             app, targets, lint_gate=True if strict else None
         )
     except LintError as error:
-        return PipelineResult(
-            row=_lint_error_row(app, index, error),
-            verdict=None,
-            risk_score=None,
-            latency_s=None,
-        )
+        return PipelineResult(row=_lint_error_row(app, index, error))
     if targeted.workload is None:
         verdict = risk = findings = None
         if vet or rules is not None:
@@ -291,23 +288,14 @@ def _run_targeted_pipeline(
             findings=findings,
         )
     row = evaluate_app(targeted.sliced_app, targeted.workload)
-    latency = engine_latency_s(row, engine)
-    verdict = risk = findings = None
-    if vet or rules is not None:
-        report = vet_targeted_report(
-            targeted, analysis_time_s=latency or 0.0, rules=rules
-        )
-        if vet:
-            verdict, risk = report.verdict, report.risk_score
-        if rules is not None:
-            row = replace(
-                row,
-                finding_counts=finding_severity_counts(report.findings),
-            )
-            findings = len(report.findings)
-    return PipelineResult(
-        row=row, verdict=verdict, risk_score=risk, latency_s=latency,
-        findings=findings,
+    return _vetted(
+        row,
+        engine_latency_s(row, engine),
+        vet,
+        rules,
+        lambda analysis_time_s: vet_targeted_report(
+            targeted, analysis_time_s=analysis_time_s, rules=rules
+        ),
     )
 
 
@@ -320,162 +308,3 @@ def corrupt_roundtrip(app: "AndroidApp") -> None:
     blob = bytearray(pack_app(app))
     blob[0] ^= 0xFF
     unpack_app(bytes(blob))
-
-
-class DeviceWorker:
-    """One simulated vetting device consuming batches from its queue."""
-
-    def __init__(self, worker_id: int, service: "VettingService") -> None:
-        self.worker_id = worker_id
-        self.service = service
-        self.queue: asyncio.Queue = asyncio.Queue()
-        #: Outstanding placement cost (the sharder balances against it).
-        self.load = 0.0
-        self.rung = 0
-        self.jobs_started = 0
-        self.jobs_done = 0
-        self.crashes = 0
-        self.allocator = DeviceAllocator()
-
-    @property
-    def engine(self) -> str:
-        return ENGINE_LADDER[self.rung]
-
-    @property
-    def healthy(self) -> bool:
-        return self.rung == 0
-
-    def degrade(self) -> str:
-        """Mark the device unhealthy: drop one ladder rung (floor: CPU)."""
-        self.rung = min(self.rung + 1, len(ENGINE_LADDER) - 1)
-        return self.engine
-
-    def inject_oom(self) -> None:
-        """Blow the device heap through the real allocator model."""
-        self.allocator.reserve(self.allocator.spec.global_memory_bytes + 1)
-
-    async def run(self) -> None:
-        """Main loop: drain batches until the service sends ``None``."""
-        while True:
-            batch = await self.queue.get()
-            if batch is None:
-                return
-            try:
-                for job in batch.jobs:
-                    if job.state != JobState.ASSIGNED:
-                        # Terminal, or no longer owned by this batch (a
-                        # crash rehomed it): never attempt it here.
-                        self.load = max(0.0, self.load - job.est_cost)
-                        continue
-                    await self._attempt(job)
-                    self.load = max(0.0, self.load - job.est_cost)
-            except WorkerCrash:
-                self.crashes += 1
-                unfinished = [j for j in batch.jobs if not j.terminal]
-                for job in unfinished:
-                    self.load = max(0.0, self.load - job.est_cost)
-                self.service.on_worker_crash(self, unfinished)
-                # Restart: fresh device, fresh heap, healthy ladder.
-                self.rung = 0
-                self.allocator.reset()
-                await asyncio.sleep(self.service.config.restart_delay_s)
-
-    async def _attempt(self, job: VetJob) -> None:
-        """One processing attempt; faults propagate to the service."""
-        service = self.service
-        injector = service.injector
-        self.jobs_started += 1
-        job.state = JobState.RUNNING
-        job.attempts += 1
-        job.workers.append(self.worker_id)
-        started = self.jobs_started
-        if injector.should_crash(self.worker_id, started):
-            # The crash takes the whole in-flight batch down; the run
-            # loop requeues every unfinished job, this one included.
-            raise WorkerCrash(
-                f"worker {self.worker_id} crashed on job start"
-            )
-        try:
-            await asyncio.wait_for(
-                self._process(job), timeout=service.config.timeout_s
-            )
-        except asyncio.TimeoutError:
-            service.on_job_fault(job, self, "timeout", "per-job timeout hit")
-        except DeviceOutOfMemory as error:
-            engine = self.degrade()
-            service.on_device_oom(job, self, engine, str(error))
-        except Exception as error:  # noqa: BLE001 - jobs must stay accounted
-            # An unexpected pipeline error must never strand a job in a
-            # non-terminal state (that would hang the whole run): treat
-            # it like any other retryable fault.
-            service.on_job_fault(
-                job, self, "error", f"{type(error).__name__}: {error}"
-            )
-        else:
-            self.jobs_done += 1
-
-    async def _process(self, job: VetJob) -> None:
-        service = self.service
-        injector = service.injector
-        stall = injector.stall_seconds(job.index)
-        if stall:
-            await asyncio.sleep(stall)
-        with obs.span(
-            f"serve.job[{job.job_id}]#a{job.attempts}",
-            category="serve",
-            worker=self.worker_id,
-            engine=self.engine,
-            attempt=job.attempts,
-        ):
-            from repro.apk.dex import GdxFormatError
-
-            try:
-                app = service.source.app_for(job)
-            except (OSError, GdxFormatError) as error:
-                # A genuinely unreadable/corrupt .gdx on disk fails the
-                # same structured way an injected corruption does.
-                service.on_corrupt_apk(job, self, str(error))
-                return
-            if injector.is_corrupt(job.index):
-                try:
-                    corrupt_roundtrip(app)
-                except GdxFormatError as error:
-                    service.on_corrupt_apk(job, self, str(error))
-                    return
-            if injector.should_oom(self.worker_id, self.jobs_started):
-                self.inject_oom()
-            targets = None
-            if job.targets:
-                from repro.vetting.targeted import TargetSpec
-
-                targets = TargetSpec(sinks=tuple(job.targets))
-            rules = resolve_pack(job.rules) if job.rules else None
-            baseline_app = None
-            baseline = getattr(job, "baseline", None)
-            if baseline == "corpus":
-                # Resubmission: the baseline is this very container, so
-                # the first attempt seeds the store and the measured
-                # pass hits it end to end.
-                baseline_app = app
-            elif baseline:
-                from repro.apk.loader import load_gdx
-
-                try:
-                    baseline_app = load_gdx(baseline)
-                except (OSError, GdxFormatError) as error:
-                    service.on_corrupt_apk(
-                        job, self, f"baseline: {error}"
-                    )
-                    return
-            result = run_pipeline(
-                app,
-                job.index,
-                self.engine,
-                service.config.strict,
-                service.config.vet,
-                targets,
-                rules,
-                resolve_icc=getattr(job, "resolve_icc", True),
-                baseline_app=baseline_app,
-            )
-        service.on_job_success(job, self, result)

@@ -47,6 +47,27 @@ from repro.serve.workers import (
 SERVE_PROFILE = GeneratorProfile(scale=0.06)
 
 
+def _backend_config(tmp_path, pool, **overrides):
+    """A journaled service config on ``pool`` (state under tmp_path)."""
+    return ServeConfig(
+        pool=pool,
+        journal_path=str(tmp_path / "journal.jsonl"),
+        state_dir=str(tmp_path / "state"),
+        **overrides,
+    )
+
+
+def _assert_first_assign_is_attempt_one(tmp_path):
+    """Both backends stamp the attempt at dispatch: a first assign is 1."""
+    from repro.serve import replay_journal
+
+    first = {}
+    for record in replay_journal(tmp_path / "journal.jsonl").records:
+        if record["ev"] == "assign":
+            first.setdefault(record["job"], record["attempt"])
+    assert first and set(first.values()) == {1}
+
+
 def _job(index: int, cost: float = 100.0, size_class: str = "small") -> VetJob:
     return VetJob(
         job_id=f"job-{index:04d}",
@@ -204,23 +225,20 @@ class TestEngineLadder:
 # -- service behaviour ---------------------------------------------------------
 
 
-class TestService:
-    def test_clean_run_completes_everything(self):
-        corpus = AppCorpus(size=6, base_seed=910100, profile=SERVE_PROFILE)
-        report = run_soak(corpus, config=ServeConfig(workers=2))
-        assert report.ok
-        assert report.completed == 6 and report.failed == 0
-        assert all(job.attempts == 1 for job in report.jobs)
-        assert all(job.engine == ENGINE_GDROID for job in report.jobs)
-        assert all(job.verdict is not None for job in report.jobs)
-        assert report.counters["serve.submitted"] == 6
-        assert report.counters["serve.completed"] == 6
+class _LaneFaultTests:
+    """Fault handling, run once per lane backend (``pool``).
 
-    def test_worker_crash_retries_without_loss(self):
+    The backend is a class attribute rather than a parametrize mark so
+    the in-process cases keep their ``TestService::...`` test ids.
+    """
+
+    pool = "async"
+
+    def test_worker_crash_retries_without_loss(self, tmp_path):
         corpus = AppCorpus(size=10, base_seed=910200, profile=SERVE_PROFILE)
         report = run_soak(
             corpus,
-            config=ServeConfig(workers=3),
+            config=_backend_config(tmp_path, self.pool, workers=3),
             inject=frozenset({"worker-crash"}),
         )
         assert report.ok and report.failed == 0
@@ -231,12 +249,13 @@ class TestService:
         for job in retried:
             assert job.state == JobState.DONE
             assert job.backoffs_s, "retries must sleep a backoff"
+        _assert_first_assign_is_attempt_one(tmp_path)
 
-    def test_oom_degrades_down_the_ladder(self):
+    def test_oom_degrades_down_the_ladder(self, tmp_path):
         corpus = AppCorpus(size=10, base_seed=910300, profile=SERVE_PROFILE)
         report = run_soak(
             corpus,
-            config=ServeConfig(workers=2),
+            config=_backend_config(tmp_path, self.pool, workers=2),
             inject=frozenset({"oom"}),
             ooms_per_worker=2,
         )
@@ -250,25 +269,27 @@ class TestService:
         for job in fallback:
             assert job.engine in (ENGINE_PLAIN, ENGINE_CPU)
             assert job.modeled_latency_s is not None
+        _assert_first_assign_is_attempt_one(tmp_path)
 
     def test_degraded_rows_stay_bit_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         corpus = AppCorpus(size=5, base_seed=910400, profile=SERVE_PROFILE)
         report = run_soak(
             corpus,
-            config=ServeConfig(workers=2),
+            config=_backend_config(tmp_path, self.pool, workers=2),
             inject=frozenset({"oom", "worker-crash"}),
         )
         assert report.ok
         direct = evaluate_corpus(corpus)
         for index, row in report.rows().items():
             assert row == direct[index]
+        _assert_first_assign_is_attempt_one(tmp_path)
 
-    def test_corrupt_apk_fails_structurally_without_retry(self):
+    def test_corrupt_apk_fails_structurally_without_retry(self, tmp_path):
         corpus = AppCorpus(size=8, base_seed=910500, profile=SERVE_PROFILE)
         report = run_soak(
             corpus,
-            config=ServeConfig(workers=2),
+            config=_backend_config(tmp_path, self.pool, workers=2),
             inject=frozenset({"corrupt-apk"}),
             corrupt_fraction=0.4,
         )
@@ -282,13 +303,14 @@ class TestService:
             assert "corrupt apk" in job.error
         clean = [job for job in report.jobs if job.state == JobState.DONE]
         assert len(clean) + len(corrupt) == 8
+        _assert_first_assign_is_attempt_one(tmp_path)
 
-    def test_stall_trips_timeout_and_is_retried(self):
+    def test_stall_trips_timeout_and_is_retried(self, tmp_path):
         corpus = AppCorpus(size=4, base_seed=910600, profile=SERVE_PROFILE)
         report = run_soak(
             corpus,
-            config=ServeConfig(
-                workers=2, timeout_s=0.05, max_attempts=2
+            config=_backend_config(
+                tmp_path, self.pool, workers=2, timeout_s=0.05, max_attempts=2
             ),
             inject=frozenset({"stall"}),
             stall_fraction=0.5,
@@ -303,6 +325,24 @@ class TestService:
         for job in stalled:
             assert job.state == JobState.FAILED
             assert "retries exhausted" in job.error
+        _assert_first_assign_is_attempt_one(tmp_path)
+
+
+class TestFaultsOnProcessLanes(_LaneFaultTests):
+    pool = "process"
+
+
+class TestService(_LaneFaultTests):
+    def test_clean_run_completes_everything(self):
+        corpus = AppCorpus(size=6, base_seed=910100, profile=SERVE_PROFILE)
+        report = run_soak(corpus, config=ServeConfig(workers=2))
+        assert report.ok
+        assert report.completed == 6 and report.failed == 0
+        assert all(job.attempts == 1 for job in report.jobs)
+        assert all(job.engine == ENGINE_GDROID for job in report.jobs)
+        assert all(job.verdict is not None for job in report.jobs)
+        assert report.counters["serve.submitted"] == 6
+        assert report.counters["serve.completed"] == 6
 
     def test_retries_exhaust_into_failure(self):
         corpus = AppCorpus(size=4, base_seed=910700, profile=SERVE_PROFILE)
@@ -812,14 +852,14 @@ class TestDeadLanePlacement:
         # The dead lane's load was reset to 0.0 at reap time, which
         # (pre-fix) made it the preferred LPT target.
         service._lane_loads = [0.0, 500.0]
-        service._place_pooled(make_batches(jobs))
+        service._place(make_batches(jobs))
         assert service._pool.submitted[0] == []
         assert len(service._pool.submitted[1]) == 4
         assert all(job.state == JobState.ASSIGNED for job in jobs)
 
     def test_all_lanes_dead_parks_batches_until_restart(self, tmp_path):
         service, jobs = self._service(tmp_path, 1, [False])
-        service._place_pooled(make_batches(jobs))
+        service._place(make_batches(jobs))
         assert service._pool.submitted[0] == []
         assert service._deferred
         # Parked jobs are untouched: no attempt burned, no ASSIGNED
@@ -828,7 +868,7 @@ class TestDeadLanePlacement:
         # The pump loop re-places the parked batches after restart.
         service._lane_alive[0] = True
         deferred, service._deferred = service._deferred, []
-        service._place_pooled(deferred)
+        service._place(deferred)
         assert len(service._pool.submitted[0]) == 4
         assert all(job.attempts == 1 for job in jobs)
 
